@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import os
 import sys
 import time
@@ -153,6 +154,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, key, Path(flag) if key == "out" else flag)
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"unknown format {cfg.format!r}")
+    if cfg.command == "spectrum" and cfg.count < 2:
+        raise ConfigError(f"count must be >= 2, got {cfg.count}")
     return cfg
 
 
@@ -176,7 +179,7 @@ def _finish(out: Path, cfg: RunConfig, t_start: float, data_files: list[Path],
         "config": cfg.echo(),
         "version": __version__,
         "wall_time_s": time.monotonic() - t_start,
-        "checksums": file_checksums(data_files),
+        "checksums": file_checksums(data_files, out),
         "metrics": metrics,
     }
     write_json(out / "manifest.json", manifest)
@@ -308,9 +311,11 @@ def _cmd_plateau(cfg: RunConfig, out: Path, t_start: float) -> int:
     if N < 3:
         raise ConfigError("plateau requires N >= 3")
     R = cfg.R
+    if not (math.isfinite(R) and R > 0):
+        raise ConfigError(f"plateau requires a finite R > 0, got {R}")
     r_max = cfg.r_max if cfg.r_max is not None else 2.0e3 * R
-    if r_max <= R:
-        raise ConfigError("r_max must exceed R")
+    if not (math.isfinite(r_max) and r_max > R):
+        raise ConfigError("r_max must be finite and exceed R")
     graph = plateau_profile(N, R, r_max)
     zeta0, fit = plateau_zeta0(graph)
     flux_res = minimal_graph_residual(graph)

@@ -71,8 +71,7 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def file_checksums(paths: Iterable[Path]) -> dict[str, str]:
-    out = {}
-    for p in sorted(paths, key=lambda q: q.name):
-        out[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
-    return out
+def file_checksums(paths: Iterable[Path], root: Path) -> dict[str, str]:
+    """sha256 of each file, keyed by its POSIX path relative to ``root``."""
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in paths}

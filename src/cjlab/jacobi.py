@@ -45,8 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from cjlab.decay import DecayFit, _lstsq_fit
 from cjlab.profile import GeometryTrace, ProfileCurve, geometry_trace
@@ -165,6 +163,9 @@ def emden_fowler_transform(
     if f.shape != s.shape:
         raise ValueError("f must be sampled on the curve grid")
 
+    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
+    from scipy.interpolate import CubicSpline
+
     A = trace.alpha * s
     h_spline = CubicSpline(t, 0.5 * (A - 1.0))
     P = h_spline.antiderivative()
@@ -215,6 +216,9 @@ def _right_breakpoint_index(t: np.ndarray, V: np.ndarray, spec: ConeSpec, i0: in
 
 def _cumulative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Antiderivative of the cubic-spline interpolant, zero at t[0]."""
+    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
+    from scipy.interpolate import CubicSpline
+
     F = CubicSpline(t, g).antiderivative()
     return F(t) - F(t[0])
 
@@ -312,6 +316,10 @@ def solve_jacobi(
     differences in t with step close to :data:`RESIDUAL_FD_STEP`, and
     reported as a sup over s in [2 epsilon, s_max / 2].
     """
+    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
+
     if trace is None:
         trace = geometry_trace(curve)
     if f is None:

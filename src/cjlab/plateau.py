@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from cjlab.decay import DecayFit, fit_power_law
 
@@ -88,6 +87,9 @@ def _tail_integral(N: int, R: float, x_lo: float) -> float:
             total += coeff * x_lo ** (beta + 1 + k) / (beta + 1 + k)
             coeff *= (beta - k) / (k + 1) * (-0.5)
         return R / (N - 1) * (2.0**beta) * total
+    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
+    from scipy.integrate import quad
+
     val, _err = quad(
         lambda w: (1.0 + w) ** beta,
         1.0 - x_lo,
@@ -104,8 +106,8 @@ def _tail_integral(N: int, R: float, x_lo: float) -> float:
 def _check_NR(N: int, R: float) -> None:
     if N < 3:
         raise ValueError("need N >= 3")
-    if R <= 0:
-        raise ValueError("need R > 0")
+    if not (np.isfinite(R) and R > 0):
+        raise ValueError("need finite R > 0")
 
 
 def alpha_of_R(N: int, R: float) -> float:
@@ -121,8 +123,8 @@ def plateau_profile(N: int, R: float, r_max: float, num: int = 2000) -> RadialGr
     exhibit the v' -> -infinity blow-up.
     """
     _check_NR(N, R)
-    if r_max <= R:
-        raise ValueError("r_max must exceed R")
+    if not (np.isfinite(r_max) and r_max > R):
+        raise ValueError("r_max must be finite and exceed R")
     r = np.geomspace(R * (1.0 + 1e-7), r_max, num)
     q = (R / r) ** (N - 1)
     dv = -q / np.sqrt(1.0 - q * q)

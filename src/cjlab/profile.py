@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from cjlab.spectra import ConeSpec
 
@@ -150,6 +149,9 @@ def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     either axis stops the run and raises :class:`IntegrationFailure`
     carrying the last valid arc length.
     """
+    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
+    from scipy.integrate import solve_ivp
+
     m, n = cfg.spec.m, cfg.spec.n
     y0 = _series_start(cfg.spec, cfg.start_axis, cfg.epsilon)
 

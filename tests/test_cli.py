@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,47 @@ class TestConfigFile:
                      "--out", str(tmp_path / "o")]) == 2
 
 
+class TestBadInputsExit2:
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--m", "3", "--n", "3", "--count", "1"],
+        ["spectrum", "--m", "3", "--n", "3", "--count", "0"],
+        ["spectrum", "--m", "3", "--n", "3", "--count", "-4"],
+        ["plateau", "--N", "3", "--R", "nan"],
+        ["plateau", "--N", "3", "--R", "inf"],
+        ["plateau", "--N", "3", "--R", "1", "--r-max", "nan"],
+    ])
+    def test_one_line_error(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+
+class TestImportLayering:
+    """The cheap paths (import, spectrum, usage errors) never load scipy."""
+
+    SCRIPT = """
+import json, sys
+def scipy_modules():
+    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+import cjlab, cjlab.cli
+steps = {"import": [None, scipy_modules()]}
+for name, argv in (("spectrum", ["spectrum", "--m", "4", "--n", "4"]),
+                   ("usage_error", ["spectrum", "--m", "1", "--n", "3"])):
+    steps[name] = [cjlab.cli.main(argv + ["--out", sys.argv[1]]), scipy_modules()]
+print(json.dumps(steps))
+"""
+
+    def test_no_scipy_on_cheap_paths(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        steps = json.loads(proc.stdout.splitlines()[-1])
+        assert steps == {"import": [None, []], "spectrum": [0, []], "usage_error": [2, []]}
+
+
 class TestIOFailures:
     def test_unwritable_out_exits_3_without_manifest(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -140,6 +183,14 @@ class TestReportCommand:
         assert row["crossings"] == 0
         assert abs(row["fitted_exponent"] - row["predicted_nu_bar"]) < 0.05
         assert (out / "m4n4" / "profile.csv").exists()
+
+    def test_manifest_hashes_every_profile(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["report", "--specs", "4,4;5,5", "--out", str(out)]) == 0
+        checksums = json.loads((out / "manifest.json").read_text())["checksums"]
+        assert set(checksums) == {"report.json", "m4n4/profile.csv", "m5n5/profile.csv"}
+        for name, digest in checksums.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_empty_sweep_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -43,6 +43,9 @@ class TestAlphaOfR:
             alpha_of_R(2, 1.0)
         with pytest.raises(ValueError):
             alpha_of_R(3, -1.0)
+        for R in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                alpha_of_R(3, R)
 
 
 class TestPlateauProfile:
@@ -98,6 +101,8 @@ class TestPlateauProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             plateau_profile(3, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            plateau_profile(3, 1.0, np.inf)
 
 
 class TestPlateauZeta0:
