@@ -24,8 +24,6 @@ Configuration may also come from a ``key = value`` text file passed via
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import math
 import os
 import sys
 import time
@@ -144,7 +142,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"unknown config key {key!r}")
             caster = _CONFIG_TYPES[key]
             try:
-                value = caster(raw) if raw != "" else ""
+                value = caster(raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from exc
             setattr(cfg, key, Path(value) if key == "out" else value)
@@ -308,21 +306,17 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
 
 def _cmd_plateau(cfg: RunConfig, out: Path, t_start: float) -> int:
     N = cfg.N if cfg.N is not None else 3
-    if N < 3:
-        raise ConfigError("plateau requires N >= 3")
     R = cfg.R
-    if not (math.isfinite(R) and R > 0):
-        raise ConfigError(f"plateau requires a finite R > 0, got {R}")
     r_max = cfg.r_max if cfg.r_max is not None else 2.0e3 * R
-    if not (math.isfinite(r_max) and r_max > R):
-        raise ConfigError("r_max must be finite and exceed R")
-    graph = plateau_profile(N, R, r_max)
+    try:
+        graph = plateau_profile(N, R, r_max)
+    except ValueError as exc:
+        raise ConfigError(f"plateau: {exc}") from exc
     zeta0, fit = plateau_zeta0(graph)
     flux_res = minimal_graph_residual(graph)
-    flux = graph.r ** (N - 1) * graph.dv / np.sqrt(1.0 + graph.dv**2) + graph.flux_const
     path = out / "plateau.csv"
     write_csv(path, ["r", "v", "dv", "zeta0", "flux_residual"],
-              [graph.r, graph.v, graph.dv, zeta0, np.abs(flux)])
+              [graph.r, graph.v, graph.dv, zeta0, graph.flux_residual])
     metrics = {
         "alphaR": graph.alphaR,
         "flux_residual_sup": flux_res,
@@ -414,11 +408,7 @@ def report_row(spec: ConeSpec, cfg: RunConfig, out: Path) -> dict:
 
 def _cmd_report(cfg: RunConfig, out: Path, t_start: float) -> int:
     specs = _parse_sweep(cfg.specs)
-    rows: list[dict] = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(specs))) as pool:
-        futures = {pool.submit(report_row, spec, cfg, out): spec for spec in specs}
-        for fut in concurrent.futures.as_completed(futures):
-            rows.append(fut.result())
+    rows = [report_row(spec, cfg, out) for spec in specs]
     rows.sort(key=lambda r: (r["m"], r["n"]))
     files = []
     if cfg.format == "json":

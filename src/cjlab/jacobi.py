@@ -296,10 +296,6 @@ def left_particular_vop(ef: EmdenFowlerData, pair: FundamentalPair | None = None
                            pair.du_minus, ef.f_tilde[:k], pair.wronskian)
 
 
-def _dense_eval(sol, t: np.ndarray) -> np.ndarray:
-    return sol.sol(t)
-
-
 def solve_jacobi(
     curve: ProfileCurve,
     trace: GeometryTrace | None = None,
@@ -352,15 +348,15 @@ def solve_jacobi(
     # relative even where the solution is still ~e^{2t}-small.
     sol_l = solve_ivp(inhom_rhs, (t[0], t[i0]), [0.0, 0.0], method="DOP853",
                       rtol=rtol, atol=atol, dense_output=True)
-    uL, duL = _dense_eval(sol_l, t[: i0 + 1])
+    uL, duL = sol_l.sol(t[: i0 + 1])
 
     t_mid = t[i0 : i1 + 1]
     sol_p = solve_ivp(hom_rhs, (t_mid[0], t_mid[-1]), [1.0, 0.0], method="DOP853",
                       rtol=rtol, atol=atol, dense_output=True)
     sol_m = solve_ivp(hom_rhs, (t_mid[0], t_mid[-1]), [0.0, 1.0], method="DOP853",
                       rtol=rtol, atol=atol, dense_output=True)
-    vp, dvp = _dense_eval(sol_p, t_mid)
-    vm, dvm = _dense_eval(sol_m, t_mid)
+    vp, dvp = sol_p.sol(t_mid)
+    vm, dvm = sol_m.sol(t_mid)
     middle = FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp,
                              du_minus=dvm, wronskian=1.0)
     uP, duP = _particular_vop(t_mid, vp, vm, dvp, dvm, ef.f_tilde[i0 : i1 + 1], 1.0)
@@ -370,7 +366,7 @@ def solve_jacobi(
     t_right = t[i1:]
     sol_r = solve_ivp(inhom_rhs, (t_right[0], t_right[-1]), [uM[-1], duM[-1]],
                       method="DOP853", rtol=rtol, atol=atol, dense_output=True)
-    uR, duR = _dense_eval(sol_r, t_right)
+    uR, duR = sol_r.sol(t_right)
 
     u = np.concatenate([uL[:-1], uM[:-1], uR])
     du = np.concatenate([duL[:-1], duM[:-1], duR])

@@ -11,14 +11,15 @@ so v' has the closed form
     v'(r) = -c r^{1-N} / sqrt(1 - (c r^{1-N})^2),   c = R^{N-1},
 
 and v itself is the tail integral of -v'.  Substituting
-w^2 = 1 - (R/rho)^{2N-2} removes the inverse-square-root singularity at
-rho = R and turns the tail integral into
+y = 1 - w^2 with w^2 = 1 - (R/rho)^{2N-2} turns the tail integral into an
+incomplete beta function (DLMF 8.17, https://dlmf.nist.gov/8.17):
 
-    v(r) = R/(N-1) * int_{w(r)}^{1} (1-w^2)^{-1/2 - 1/(2(N-1))} dw,
+    v(r) = R/(N-1) * 1/2 B(a, 1/2) * I_{q^2}(a, 1/2),
+    a = 1/2 - 1/(2(N-1)),   q = (R/r)^{N-1},
 
-evaluated with a Gauss quadrature for the algebraic endpoint weight at
-w = 1.  The boundary value alpha(R) = v(R+) obeys the exact scaling law
-alpha(R) = R alpha(1).
+with I the regularised incomplete beta.  The boundary value
+alpha(R) = v(R+) is the case q = 1, alpha(R) = R/(N-1) * 1/2 B(a, 1/2),
+which obeys the exact scaling law alpha(R) = R alpha(1).
 
 The graph's dilation Jacobi field is
 
@@ -63,44 +64,15 @@ class RadialGraph:
         return self.R ** (self.N - 1)
 
     @property
+    def flux_residual(self) -> np.ndarray:
+        """Pointwise |r^{N-1} v'/sqrt(1+v'^2) + R^{N-1}| on the grid."""
+        flux = self.r ** (self.N - 1) * self.dv / np.sqrt(1.0 + self.dv**2)
+        return np.abs(flux + self.flux_const)
+
+    @property
     def decay_coeff(self) -> float:
         """Limit of r^{N-2} v(r): R^{N-1}/(N-2)."""
         return self.R ** (self.N - 1) / (self.N - 2)
-
-
-def _tail_integral(N: int, R: float, x_lo: float) -> float:
-    """R/(N-1) * int_{1-x_lo}^1 (1-w)^beta (1+w)^beta dw, beta = -1/2 - 1/(2(N-1)).
-
-    ``x_lo`` is the distance 1 - w of the lower limit from the endpoint,
-    supplied directly because forming it from w loses all precision for
-    the short tails that large radii produce.  Short tails (x_lo < 1e-6)
-    use the binomial series of (1+w)^beta about w = 1, exact to roundoff
-    there; longer ones use a quadrature whose algebraic endpoint weight
-    absorbs the (1-w)^beta factor.
-    """
-    beta = -0.5 - 0.5 / (N - 1)
-    if x_lo < 1e-6:
-        # int_0^{x} u^beta (2-u)^beta du as a series in u/2
-        total = 0.0
-        coeff = 1.0
-        for k in range(5):
-            total += coeff * x_lo ** (beta + 1 + k) / (beta + 1 + k)
-            coeff *= (beta - k) / (k + 1) * (-0.5)
-        return R / (N - 1) * (2.0**beta) * total
-    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
-    from scipy.integrate import quad
-
-    val, _err = quad(
-        lambda w: (1.0 + w) ** beta,
-        1.0 - x_lo,
-        1.0,
-        weight="alg",
-        wvar=(0.0, beta),
-        epsabs=1e-14,
-        epsrel=1e-13,
-        limit=200,
-    )
-    return R / (N - 1) * val
 
 
 def _check_NR(N: int, R: float) -> None:
@@ -110,10 +82,19 @@ def _check_NR(N: int, R: float) -> None:
         raise ValueError("need finite R > 0")
 
 
+def _height(N: int, R: float, q):
+    """v at q = (R/r)^{N-1}: R/(N-1) * 1/2 B(a, 1/2) * I_{q^2}(a, 1/2)."""
+    # deferred: scipy costs ~0.3 s to import, which paths that do not need it skip
+    from scipy.special import beta, betainc
+
+    a = 0.5 - 0.5 / (N - 1)
+    return R / (N - 1) * 0.5 * beta(a, 0.5) * betainc(a, 0.5, q * q)
+
+
 def alpha_of_R(N: int, R: float) -> float:
     """Boundary value alpha(R) = v(R+); satisfies alpha(R) = R alpha(1)."""
     _check_NR(N, R)
-    return _tail_integral(N, R, 1.0)
+    return float(_height(N, R, 1.0))
 
 
 def plateau_profile(N: int, R: float, r_max: float, num: int = 2000) -> RadialGraph:
@@ -128,16 +109,13 @@ def plateau_profile(N: int, R: float, r_max: float, num: int = 2000) -> RadialGr
     r = np.geomspace(R * (1.0 + 1e-7), r_max, num)
     q = (R / r) ** (N - 1)
     dv = -q / np.sqrt(1.0 - q * q)
-    # x = 1 - w with w = sqrt(1 - q^2), formed without cancellation
-    x = q * q / (1.0 + np.sqrt(1.0 - q * q))
-    v = np.array([_tail_integral(N, R, xi) for xi in x])
-    return RadialGraph(N=N, R=float(R), r=r, v=v, dv=dv, alphaR=alpha_of_R(N, R))
+    return RadialGraph(N=N, R=float(R), r=r, v=_height(N, R, q), dv=dv,
+                       alphaR=alpha_of_R(N, R))
 
 
 def minimal_graph_residual(graph: RadialGraph) -> float:
     """Sup of |r^{N-1} v'/sqrt(1+v'^2) + R^{N-1}| over the grid."""
-    flux = graph.r ** (graph.N - 1) * graph.dv / np.sqrt(1.0 + graph.dv**2)
-    return float(np.max(np.abs(flux + graph.flux_const)))
+    return float(np.max(graph.flux_residual))
 
 
 def plateau_zeta0(graph: RadialGraph, fit_window: tuple[float, float] | None = None

@@ -82,12 +82,14 @@ class ShootingConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.1:
             raise ValueError("epsilon must lie in (0, 0.1)")
+        for name in ("s_max", "rtol", "atol", "grid_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.s_max <= self.epsilon:
             raise ValueError("s_max must exceed epsilon")
         if self.start_axis not in ("axis_m", "axis_n"):
             raise ValueError(f"unknown start_axis {self.start_axis!r}")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,17 @@ class TestConfigFile:
         assert main(["spectrum", "--config", str(cfg), "--m", "2", "--n", "2",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command,text", [
+        (["spectrum", "--m", "2", "--n", "2"], "count =\n"),
+        (["plateau", "--N", "3"], "R =\n"),
+    ])
+    def test_empty_numeric_value_exits_2(self, command, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_malformed_line_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
@@ -88,6 +99,11 @@ class TestBadInputsExit2:
         ["plateau", "--N", "3", "--R", "nan"],
         ["plateau", "--N", "3", "--R", "inf"],
         ["plateau", "--N", "3", "--R", "1", "--r-max", "nan"],
+        ["plateau", "--N", "2", "--R", "1"],
+        ["profile", "--m", "2", "--n", "2", "--s-max", "nan"],
+        ["profile", "--m", "2", "--n", "2", "--tol", "nan"],
+        ["profile", "--m", "2", "--n", "2", "--tol", "-1"],
+        ["profile", "--m", "2", "--n", "2", "--grid-step", "nan"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -96,7 +112,8 @@ class TestBadInputsExit2:
 
 
 class TestImportLayering:
-    """The cheap paths (import, spectrum, usage errors) never load scipy."""
+    """The cheap paths (import, spectrum, usage errors) never load scipy,
+    and the closed-form plateau path never loads scipy.integrate."""
 
     SCRIPT = """
 import json, sys
@@ -107,6 +124,8 @@ steps = {"import": [None, scipy_modules()]}
 for name, argv in (("spectrum", ["spectrum", "--m", "4", "--n", "4"]),
                    ("usage_error", ["spectrum", "--m", "1", "--n", "3"])):
     steps[name] = [cjlab.cli.main(argv + ["--out", sys.argv[1]]), scipy_modules()]
+steps["plateau"] = [cjlab.cli.main(["plateau", "--N", "5", "--R", "1", "--out", sys.argv[1]]),
+                    "scipy.integrate" in sys.modules]
 print(json.dumps(steps))
 """
 
@@ -118,7 +137,8 @@ print(json.dumps(steps))
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         steps = json.loads(proc.stdout.splitlines()[-1])
-        assert steps == {"import": [None, []], "spectrum": [0, []], "usage_error": [2, []]}
+        assert steps == {"import": [None, []], "spectrum": [0, []], "usage_error": [2, []],
+                         "plateau": [0, False]}
 
 
 class TestIOFailures:

@@ -98,11 +98,59 @@ class TestPlateauProfile:
         flux = r**2 * dv / np.sqrt(1 + dv**2)
         assert np.all(flux == 0.0)
 
+    def test_flux_residual_array_and_sup(self):
+        graph = plateau_profile(5, 1.5, 3000.0, num=400)
+        flux = graph.r**4 * graph.dv / np.sqrt(1.0 + graph.dv**2)
+        assert np.array_equal(graph.flux_residual, np.abs(flux + 1.5**4))
+        assert minimal_graph_residual(graph) == np.max(graph.flux_residual)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             plateau_profile(3, 1.0, 0.5)
         with pytest.raises(ValueError):
             plateau_profile(3, 1.0, np.inf)
+
+
+def betainc_oracle(N, R, r):
+    """v(r) from the incomplete-beta closed form at 40 digits."""
+    with mp.workdps(40):
+        a = mp.mpf(1) / 2 - mp.mpf(1) / (2 * (N - 1))
+        q2 = (mp.mpf(R) / mp.mpf(r)) ** (2 * (N - 1))
+        return mp.mpf(R) / (N - 1) * mp.betainc(a, mp.mpf(1) / 2, 0, q2) / 2
+
+
+class TestClosedFormOracle:
+    # x = 1 - w, w = sqrt(1 - (R/r)^{2N-2}): short tails around x = 1e-6,
+    # where a quadrature loses relative accuracy first
+    SWITCH_X = (0.9e-6, 1.0e-6, 1.06e-6, 1.2e-6)
+
+    @pytest.mark.parametrize("N", range(3, 13))
+    @pytest.mark.parametrize("R", [0.5, 1.0, 2.75])
+    def test_matches_mpmath_betainc(self, N, R):
+        graph = plateau_profile(N, R, 2.0e3 * R)
+        samples = [(graph.r[i], graph.v[i]) for i in (0, len(graph.r) - 1)]
+        for x in self.SWITCH_X:
+            r_x = R * (x * (2.0 - x)) ** (-0.5 / (N - 1))
+            # geomspace puts its last sample exactly at r_max
+            samples.append((r_x, plateau_profile(N, R, r_x).v[-1]))
+        for r, v in samples:
+            want = betainc_oracle(N, R, r)
+            assert abs(v / float(want) - 1.0) <= 1e-12, (N, R, r)
+
+    @pytest.mark.parametrize("N", [3, 5, 12])
+    def test_oracle_matches_tail_integral(self, N):
+        # independent of the closed form: v(r) = int_r^inf -v'(rho) d rho
+        R, r = 1.5, 2.0
+        with mp.workdps(30):
+            c = mp.mpf(R) ** (N - 1)
+            tail = mp.quad(lambda rho: c * rho ** (1 - N) / mp.sqrt(1 - (c * rho ** (1 - N)) ** 2),
+                           [r, 2 * r, mp.inf])
+            assert abs(betainc_oracle(N, R, r) / tail - 1) < mp.mpf(10) ** -25
+
+    def test_alpha_is_the_boundary_value(self):
+        for N in (3, 7, 12):
+            want = betainc_oracle(N, 1.0, 1.0)
+            assert alpha_of_R(N, 1.0) == pytest.approx(float(want), rel=1e-14)
 
 
 class TestPlateauZeta0:

@@ -57,6 +57,12 @@ class TestShootingConfig:
         with pytest.raises(ValueError):
             ShootingConfig(spec=spec, grid_step=0.0)
 
+    @pytest.mark.parametrize("name", ["s_max", "rtol", "atol", "grid_step"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_step_controls_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ShootingConfig(spec=ConeSpec(2, 2), **{name: value})
+
 
 class TestIntegrateProfile:
     def test_grid_is_log_uniform_and_hits_endpoints(self, short_curves):
