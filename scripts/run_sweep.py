@@ -9,21 +9,19 @@ Equivalent to `cjl report` but keeps everything in memory.
 
 import argparse
 
-from cjlab.cli import sweep_row
-from cjlab.spectra import ConeSpec
+from cjlab.decay import DEFAULT_SWEEP, parse_sweep, sweep_config, sweep_row
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--specs", default="2,2;2,3;3,3;4,4",
+    ap.add_argument("--specs", default=DEFAULT_SWEEP, type=parse_sweep,
                     help="semicolon-separated m,n pairs")
     args = ap.parse_args()
-    pairs = [tuple(map(int, item.split(","))) for item in args.specs.split(";")]
     print(f"{'spec':>7} {'N':>3} {'predicted':>10} {'fitted':>10} "
           f"{'nearest':>8} {'gap':>9} {'crossings':>9}")
-    for m, n in pairs:
-        row, _, _ = sweep_row(ConeSpec(m, n))
-        print(f"  ({m},{n}) {row['N']:>3} {row['predicted_nu_bar']:>10.4f} "
+    for spec in args.specs:
+        row, _, _ = sweep_row(sweep_config(spec))
+        print(f"  ({spec.m},{spec.n}) {row['N']:>3} {row['predicted_nu_bar']:>10.4f} "
               f"{row['fitted_exponent']:>10.4f} {row['nearest_root']:>8.3f} "
               f"{row['gap']:>9.2e} {row['crossings']:>9d}")
 

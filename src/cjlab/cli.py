@@ -10,15 +10,18 @@ Subcommands::
     cjl report                      sweep of specs, fitted vs predicted decay
                                     -> report.json (or report.csv)
 
+Each option is declared once, in :data:`OPTIONS`, and a subcommand takes
+only the options it reads (``cjl <cmd> --help`` lists them), from flags
+and from the ``key = value`` file passed via ``--config`` alike; flags
+override file values.  :func:`check_inputs` casts and checks every value
+before a command runs and turns the library's ValueError into exit 2.
+
 A run directory receives the data files plus ``manifest.json`` (config
 echo, tool version, wall time, sha256 checksums, summary metrics),
 written last.  Data files are deterministic: two runs with identical
 configuration are byte-identical.  The default output directory is
-``$CJL_OUT`` or ``./cjl_out``.
-
-Configuration may also come from a ``key = value`` text file passed via
-``--config``; command-line flags override file values.  Exit codes:
-0 success, 2 usage/config error, 3 I/O error, 4 numerical target miss.
+``$CJL_OUT`` or ``./cjl_out``.  Exit codes: 0 success, 2 usage/config
+error, 3 I/O error, 4 numerical target miss.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from cjlab import __version__
-from cjlab.decay import fit_power_law, classify_against_indicial
+from cjlab.decay import DEFAULT_SWEEP, SWEEP_GRID_STEP, parse_sweep, sweep_config, sweep_row
 from cjlab.io import file_checksums, write_csv, write_json
 from cjlab.jacobi import (
     decay_diagnostics,
@@ -49,9 +53,10 @@ from cjlab.profile import (
     geometry_trace,
     integrate_profile,
 )
-from cjlab.plateau import minimal_graph_residual, plateau_profile, plateau_zeta0
+from cjlab.plateau import check_zeta0_fit, minimal_graph_residual, plateau_profile, plateau_zeta0
 from cjlab.spectra import (
     ConeSpec,
+    check_count,
     indicial_data,
     link_eigenvalues,
     predicted_nu_bar,
@@ -65,7 +70,6 @@ EXIT_NUMERIC = 4
 
 RESIDUAL_TARGET_FACTOR = 1e-6  # jacobi: residual <= factor * (1 + max|f|)
 FLUX_TARGET = 1e-10
-DEFAULT_SWEEP = "2,2;2,3;3,3;4,4"
 
 
 class NumericalTargetMiss(RuntimeError):
@@ -76,37 +80,30 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+class Option(NamedTuple):
+    """``defaults`` maps each subcommand that reads the option to its default
+    there; None marks it required, a callable gets the values resolved so far."""
+
+    name: str  # config key; the flag is --name with "_" spelled "-"
+    type: Callable[[str], object]  # casts the value's text
+    help: str
+    defaults: dict
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """A checked run: the options its command reads, defaults filled in,
+    and the library objects built from them."""
+
     command: str
-    m: int | None = None
-    n: int | None = None
-    N: int | None = None
-    R: float = 1.0
-    s_max: float | None = None
-    r_max: float | None = None
-    eps: float = 1e-3
-    tol: float = 1e-12
-    out: Path = field(default_factory=lambda: Path(os.environ.get("CJL_OUT", "cjl_out")))
-    format: str = "json"
-    count: int = 12
-    grid_step: float | None = None
-    specs: str = DEFAULT_SWEEP
-
-    def cone_spec(self) -> ConeSpec:
-        if self.m is None or self.n is None:
-            raise ConfigError("this command requires --m and --n")
-        try:
-            return ConeSpec(self.m, self.n)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def echo(self) -> dict:
-        keys = ["command", "m", "n", "N", "R", "s_max", "r_max", "eps", "tol",
-                "format", "count", "grid_step", "specs"]
-        d = {k: getattr(self, k) for k in keys}
-        d["out"] = str(self.out)
-        return d
+    values: dict
+    spec: ConeSpec | None = None  # spectrum
+    shooting: ShootingConfig | None = None  # profile, jacobi
+    sweep: tuple[ShootingConfig, ...] = ()  # report
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -126,55 +123,51 @@ def _parse_config_file(path: Path) -> dict[str, str]:
     return values
 
 
-_CONFIG_TYPES = {
-    "m": int, "n": int, "N": int, "count": int,
-    "R": float, "s_max": float, "r_max": float, "eps": float, "tol": float,
-    "grid_step": float,
-    "out": str, "format": str, "specs": str,
-}
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if getattr(args, "config", None):
-        for key, raw in _parse_config_file(Path(args.config)).items():
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"unknown config key {key!r}")
-            caster = _CONFIG_TYPES[key]
+def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
+    """Cast and check every input of ``command``, given as option name -> text
+    from flags and config file, and build the library objects it runs on
+    (their constructors check them); ConfigError on any bad input."""
+    options = {o.name: o for o in OPTIONS if command in o.defaults}
+    unknown = sorted(raw.keys() - options.keys())
+    if unknown:
+        raise ConfigError(f"{command} does not take {', '.join(unknown)}")
+    v: dict = {}
+    for name, opt in options.items():
+        default = opt.defaults[command]
+        if name in raw:
             try:
-                value = caster(raw)
-            except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-            setattr(cfg, key, Path(value) if key == "out" else value)
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(cfg, key, Path(flag) if key == "out" else flag)
-    if cfg.format not in ("csv", "json"):
-        raise ConfigError(f"unknown format {cfg.format!r}")
-    if cfg.command == "spectrum" and cfg.count < 2:
-        raise ConfigError(f"count must be >= 2, got {cfg.count}")
-    return cfg
-
-
-def _shooting_config(cfg: RunConfig, s_max_default: float, grid_default: float) -> ShootingConfig:
+                v[name] = opt.type(raw[name])
+            except (TypeError, ValueError) as exc:  # argparse turns "--x=--" into []
+                raise ConfigError(f"{opt.flag}: {exc}") from exc
+        elif default is None:
+            raise ConfigError(f"{command} requires {opt.flag}")
+        else:
+            v[name] = default(v) if callable(default) else default
     try:
-        return ShootingConfig(
-            spec=cfg.cone_spec(),
-            epsilon=cfg.eps,
-            s_max=cfg.s_max if cfg.s_max is not None else s_max_default,
-            rtol=cfg.tol,
-            atol=cfg.tol * 1e-2,
-            grid_step=cfg.grid_step if cfg.grid_step is not None else grid_default,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        if command == "plateau":
+            check_zeta0_fit(v["N"], v["R"], v["r_max"])
+            return RunConfig(command, v)
+        if command == "report":
+            return RunConfig(command, v, sweep=tuple(
+                sweep_config(spec, v["eps"], v["tol"], v["grid_step"])
+                for spec in parse_sweep(v["specs"])))
+        spec = ConeSpec(v["m"], v["n"])
+        if command == "spectrum":
+            check_count(v["count"])
+            return RunConfig(command, v, spec=spec)
+        shooting = ShootingConfig(spec=spec, epsilon=v["eps"], s_max=v["s_max"], rtol=v["tol"],
+                                  atol=v["tol"] * 1e-2, grid_step=v["grid_step"])
+        if command == "jacobi" and not shooting.s_max > 1.0:
+            raise ValueError("s_max must exceed 1 so that the curve covers s = 1")
+        return RunConfig(command, v, shooting=shooting)
+    except (ValueError, OverflowError) as exc:  # e.g. an int too large for a float
+        raise ConfigError(f"{command}: {exc}") from exc
 
 
 def _finish(out: Path, cfg: RunConfig, t_start: float, data_files: list[Path],
             metrics: dict) -> None:
     manifest = {
-        "config": cfg.echo(),
+        "config": {"command": cfg.command, **cfg.values},
         "version": __version__,
         "wall_time_s": time.monotonic() - t_start,
         "checksums": file_checksums(data_files, out),
@@ -184,10 +177,9 @@ def _finish(out: Path, cfg: RunConfig, t_start: float, data_files: list[Path],
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path, t_start: float) -> int:
-    spec = cfg.cone_spec()
-    data = indicial_data(spec, link_eigenvalues(spec, cfg.count))
-    files = []
-    if cfg.format == "json":
+    spec = cfg.spec
+    data = indicial_data(spec, link_eigenvalues(spec, cfg.values["count"]))
+    if cfg.values["format"] == "json":
         path = out / "spectrum.json"
         write_json(path, data.to_dict())
     else:
@@ -200,14 +192,13 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, t_start: float) -> int:
              np.array([p[0] for p in data.indicial_roots]),
              np.array([p[1] for p in data.indicial_roots])],
         )
-    files.append(path)
     metrics = {
         "stable": data.stable,
         "j0": data.j0,
         "Lambda0_re": data.Lambda_re[0],
         "predicted_nu_bar": predicted_nu_bar(spec, regime_of(spec)),
     }
-    _finish(out, cfg, t_start, files, metrics)
+    _finish(out, cfg, t_start, [path], metrics)
     print(f"spectrum ({spec.m},{spec.n}): stable={data.stable} j0={data.j0} -> {path}")
     return EXIT_OK
 
@@ -234,8 +225,7 @@ def _profile_csv(out: Path, curve, trace) -> Path:
 
 
 def _cmd_profile(cfg: RunConfig, out: Path, t_start: float) -> int:
-    shooting = _shooting_config(cfg, s_max_default=200.0, grid_default=1e-4)
-    curve = integrate_profile(shooting)
+    curve = integrate_profile(cfg.shooting)
     trace = geometry_trace(curve)
     files = [_profile_csv(out, curve, trace)]
     hres_sup = float(np.max(np.abs(trace.Hres)))
@@ -248,14 +238,13 @@ def _cmd_profile(cfg: RunConfig, out: Path, t_start: float) -> int:
     }
     _finish(out, cfg, t_start, files, metrics)
     print(f"profile ({curve.spec.m},{curve.spec.n}): Hres_sup={hres_sup:.3e} -> {files[0]}")
-    if hres_sup > 1e-7:
+    if not hres_sup <= 1e-7:
         raise NumericalTargetMiss(f"H-residual {hres_sup:.3e} exceeds 1e-7")
     return EXIT_OK
 
 
 def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
-    shooting = _shooting_config(cfg, s_max_default=2100.0, grid_default=1e-4)
-    curve = integrate_profile(shooting)
+    curve = integrate_profile(cfg.shooting)
     trace = geometry_trace(curve)
     sol = solve_jacobi(curve, trace)
     files = [_profile_csv(out, curve, trace)]
@@ -299,19 +288,14 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
     _finish(out, cfg, t_start, files, metrics)
     print(f"jacobi ({curve.spec.m},{curve.spec.n}): residual={res:.3e} "
           f"(target {target:.3e}) -> {jac_path}")
-    if res > target:
+    if not res <= target:
         raise NumericalTargetMiss(f"residual {res:.3e} exceeds {target:.3e}")
     return EXIT_OK
 
 
 def _cmd_plateau(cfg: RunConfig, out: Path, t_start: float) -> int:
-    N = cfg.N if cfg.N is not None else 3
-    R = cfg.R
-    r_max = cfg.r_max if cfg.r_max is not None else 2.0e3 * R
-    try:
-        graph = plateau_profile(N, R, r_max)
-    except ValueError as exc:
-        raise ConfigError(f"plateau: {exc}") from exc
+    N, R, r_max = (cfg.values[k] for k in ("N", "R", "r_max"))
+    graph = plateau_profile(N, R, r_max)
     zeta0, fit = plateau_zeta0(graph)
     flux_res = minimal_graph_residual(graph)
     path = out / "plateau.csv"
@@ -327,79 +311,14 @@ def _cmd_plateau(cfg: RunConfig, out: Path, t_start: float) -> int:
     _finish(out, cfg, t_start, [path], metrics)
     print(f"plateau N={N} R={R}: flux residual {flux_res:.2e}, "
           f"zeta0 exponent {fit.exponent:.4f} -> {path}")
-    if flux_res > FLUX_TARGET:
+    if not flux_res <= FLUX_TARGET:
         raise NumericalTargetMiss(f"flux residual {flux_res:.3e} exceeds {FLUX_TARGET:.1e}")
     return EXIT_OK
 
 
-def _parse_sweep(text: str) -> list[ConeSpec]:
-    text = text.strip()
-    if not text:
-        raise ConfigError("empty sweep list")
-    specs = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            m_str, n_str = item.split(",")
-            specs.append(ConeSpec(int(m_str), int(n_str)))
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad sweep entry {item!r}: {exc}") from exc
-    if not specs:
-        raise ConfigError("empty sweep list")
-    return specs
-
-
-def sweep_row(spec: ConeSpec, eps: float = 1e-3, tol: float = 1e-12,
-              grid_step: float = 1e-3) -> tuple[dict, object, object]:
-    """Fitted-versus-predicted decay summary for one spec.
-
-    Returns (row, curve, trace).  Stable specs are fitted raw on
-    [50, 200]; oscillatory ones by their local-maxima envelope over
-    (5, 3e5), the region where the signal sits above the integrator's
-    roundoff floor (~rtol * s in zeta_0 = a b' - a' b).  Five envelope
-    peaks fit in that window for every low-dimension spec at
-    rtol = 1e-13.
-    """
-    regime = regime_of(spec)
-    if regime == "high_dim":
-        s_max, window, rtol = 240.0, (50.0, 200.0), tol
-    else:
-        s_max, window, rtol = 4.0e5, (5.0, 3.0e5), min(tol, 1e-13)
-    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, rtol=rtol,
-                              atol=rtol * 1e-2, grid_step=grid_step)
-    curve = integrate_profile(shooting)
-    trace = geometry_trace(curve)
-    fit = fit_power_law(curve.s, trace.zeta0, window)
-    spectral = indicial_data(spec, link_eigenvalues(spec, 16))
-    cls = classify_against_indicial(fit, spectral)
-    mask = curve.s <= 1.0e3
-    from cjlab.profile import ProfileCurve
-
-    short = ProfileCurve(spec=spec, start_axis=curve.start_axis, s=curve.s[mask],
-                         a=curve.a[mask], b=curve.b[mask], phi=curve.phi[mask])
-    row = {
-        "m": spec.m,
-        "n": spec.n,
-        "N": spec.N,
-        "stable": spectral.stable,
-        "predicted_nu_bar": predicted_nu_bar(spec, regime),
-        "fitted_exponent": fit.exponent,
-        "oscillatory": fit.oscillatory,
-        "nearest_root": cls["nearest_root"],
-        "gap": cls["gap"],
-        "crossings": cone_crossings(short),
-        "fit": {**fit.to_dict(), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
-    }
-    return row, curve, trace
-
-
-def report_row(spec: ConeSpec, cfg: RunConfig, out: Path) -> dict:
-    row, curve, trace = sweep_row(
-        spec, eps=cfg.eps, tol=cfg.tol,
-        grid_step=cfg.grid_step if cfg.grid_step is not None else 1e-3,
-    )
+def report_row(shooting: ShootingConfig, out: Path) -> dict:
+    row, curve, trace = sweep_row(shooting)
+    spec = shooting.spec
     sub = out / f"m{spec.m}n{spec.n}"
     sub.mkdir(parents=True, exist_ok=True)
     _profile_csv(sub, curve, trace)
@@ -407,11 +326,9 @@ def report_row(spec: ConeSpec, cfg: RunConfig, out: Path) -> dict:
 
 
 def _cmd_report(cfg: RunConfig, out: Path, t_start: float) -> int:
-    specs = _parse_sweep(cfg.specs)
-    rows = [report_row(spec, cfg, out) for spec in specs]
+    rows = [report_row(shooting, out) for shooting in cfg.sweep]
     rows.sort(key=lambda r: (r["m"], r["n"]))
-    files = []
-    if cfg.format == "json":
+    if cfg.values["format"] == "json":
         path = out / "report.json"
         write_json(path, {"rows": rows})
     else:
@@ -419,9 +336,7 @@ def _cmd_report(cfg: RunConfig, out: Path, t_start: float) -> int:
         keys = ["m", "n", "N", "stable", "predicted_nu_bar", "fitted_exponent",
                 "oscillatory", "nearest_root", "gap", "crossings"]
         write_csv(path, keys, [np.array([row[k] for row in rows]) for k in keys])
-    files.append(path)
-    for spec in specs:
-        files.append(out / f"m{spec.m}n{spec.n}" / "profile.csv")
+    files = [path] + [out / f"m{sh.spec.m}n{sh.spec.n}" / "profile.csv" for sh in cfg.sweep]
     metrics = {"rows": len(rows), "max_gap": max(r["gap"] for r in rows)}
     _finish(out, cfg, t_start, files, metrics)
     print(f"report: {len(rows)} specs, max fitted-vs-indicial gap "
@@ -438,23 +353,33 @@ _COMMANDS = {
 }
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--m", type=int, default=None, help="sphere factor dimension m >= 2")
-    sp.add_argument("--n", type=int, default=None, help="sphere factor dimension n >= 2")
-    sp.add_argument("--N", type=int, default=None, help="ambient graph dimension (plateau)")
-    sp.add_argument("--R", type=float, default=None, help="inner radius (plateau)")
-    sp.add_argument("--s-max", dest="s_max", type=float, default=None)
-    sp.add_argument("--r-max", dest="r_max", type=float, default=None)
-    sp.add_argument("--eps", type=float, default=None, help="series start offset")
-    sp.add_argument("--tol", type=float, default=None, help="integrator relative tolerance")
-    sp.add_argument("--out", type=str, default=None, help="output directory")
-    sp.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-    sp.add_argument("--config", type=str, default=None, help="key = value config file")
-    sp.add_argument("--count", type=int, default=None, help="eigenvalue count (spectrum)")
-    sp.add_argument("--grid-step", dest="grid_step", type=float, default=None,
-                    help="log-s sample spacing")
-    sp.add_argument("--specs", type=str, default=None,
-                    help="report sweep, e.g. '2,2;3,3' (config key: specs)")
+def _csv_or_json(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"expected csv or json, got {text!r}")
+    return text
+
+
+_CONE = ("spectrum", "profile", "jacobi")
+_SHOOTING = ("profile", "jacobi", "report")
+
+#: Every cjl option, once; a subcommand takes exactly those naming it in ``defaults``.
+OPTIONS = (
+    Option("m", int, "sphere factor dimension m >= 2", dict.fromkeys(_CONE)),
+    Option("n", int, "sphere factor dimension n >= 2", dict.fromkeys(_CONE)),
+    Option("N", int, "ambient graph dimension N >= 3", {"plateau": 3}),
+    Option("R", float, "inner radius", {"plateau": 1.0}),
+    Option("r_max", float, "outer radius (default 2000 R)", {"plateau": lambda v: 2.0e3 * v["R"]}),
+    Option("s_max", float, "arc length to integrate to", {"profile": 200.0, "jacobi": 2100.0}),
+    Option("eps", float, "series start offset", dict.fromkeys(_SHOOTING, 1e-3)),
+    Option("tol", float, "integrator relative tolerance", dict.fromkeys(_SHOOTING, 1e-12)),
+    Option("grid_step", float, "log-s sample spacing",
+           {"profile": 1e-4, "jacobi": 1e-4, "report": SWEEP_GRID_STEP}),
+    Option("count", int, "eigenvalue count", {"spectrum": 12}),
+    Option("format", _csv_or_json, "csv or json", {"spectrum": "json", "report": "json"}),
+    Option("specs", str, "sweep, e.g. '2,2;3,3'", {"report": DEFAULT_SWEEP}),
+    Option("out", str, "output directory (default $CJL_OUT or ./cjl_out)",
+           dict.fromkeys(_COMMANDS, lambda v: os.environ.get("CJL_OUT", "cjl_out"))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,21 +387,38 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"cjl {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        _add_common_flags(sp)
+    for command in _COMMANDS:
+        sp = sub.add_parser(command)
+        sp.add_argument("--config", help="key = value config file; flags override it")
+        for opt in OPTIONS:
+            if command in opt.defaults:
+                default = opt.defaults[command]
+                note = " (required)" if default is None else f" (default {default})"
+                note = "" if callable(default) else note
+                sp.add_argument(opt.flag, dest=opt.name, help=opt.help + note)
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
+def configure(argv: list[str] | None = None) -> RunConfig:
+    """Parse ``argv`` and its config file, then :func:`check_inputs`.
+
+    argparse exits 2 on a flag the subcommand does not take.
+    """
     args = build_parser().parse_args(argv)
+    raw = _parse_config_file(Path(args.config)) if args.config else {}
+    raw.update((o.name, getattr(args, o.name)) for o in OPTIONS
+               if getattr(args, o.name, None) is not None)
+    return check_inputs(args.command, raw)
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _build_config(args)
+        cfg = configure(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     t_start = time.monotonic()
-    out = cfg.out
+    out = Path(cfg.values["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
@@ -487,9 +429,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     try:
         return _COMMANDS[cfg.command](cfg, out, t_start)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalTargetMiss as exc:
         print(f"numerical target missed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

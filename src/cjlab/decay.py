@@ -8,13 +8,18 @@ of the envelope rather than averaging through the zeros.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from cjlab.spectra import SpectralData
+from cjlab.profile import (GeometryTrace, ProfileCurve, ShootingConfig, cone_crossings,
+                           geometry_trace, integrate_profile)
+from cjlab.spectra import (ConeSpec, SpectralData, indicial_data, link_eigenvalues,
+                           predicted_nu_bar, regime_of)
 
-__all__ = ["DecayFit", "fit_power_law", "classify_against_indicial", "envelope_maxima"]
+__all__ = ["DecayFit", "fit_power_law", "classify_against_indicial", "envelope_maxima",
+           "parse_sweep", "sweep_config", "sweep_row"]
 
 #: window (in the same units as r) a local maximum must dominate in log r
 #: before it counts as an envelope point; rejects noise-induced maxima.
@@ -25,6 +30,9 @@ ENVELOPE_GUARD = 0.1
 MIN_ENVELOPE_MAXIMA = 5
 
 DEFAULT_WINDOW = (1.0e2, 1.0e3)
+
+#: fewest nonzero samples a window must hold for :func:`fit_power_law`.
+MIN_FIT_SAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -116,8 +124,9 @@ def fit_power_law(
     mask = (r >= lo) & (r <= hi) & (y != 0.0) & (r > 0.0)
     if with_log:
         mask &= r != 1.0
-    if int(mask.sum()) < 20:
-        raise ValueError(f"need >= 20 nonzero samples in window, got {int(mask.sum())}")
+    if int(mask.sum()) < MIN_FIT_SAMPLES:
+        raise ValueError(f"need >= {MIN_FIT_SAMPLES} nonzero samples in window, "
+                         f"got {int(mask.sum())}")
     rw, yw = r[mask], np.abs(y[mask])
 
     idx = envelope_maxima(rw, yw)
@@ -161,3 +170,80 @@ def classify_against_indicial(fit: DecayFit, spectral: SpectralData) -> dict:
         "gap": gaps[k],
         "nondegenerate_candidate": fit.exponent > 2.0 - N + NONDEGENERACY_MARGIN,
     }
+
+
+DEFAULT_SWEEP = "2,2;2,3;3,3;4,4"
+
+#: log-s sample spacing of the sweep's profile grids
+SWEEP_GRID_STEP = 1e-3
+
+#: regime -> (s_max, fit window) of the sweep
+_SWEEP = {"high_dim": (240.0, (50.0, 200.0)), "low_dim": (4.0e5, (5.0, 3.0e5))}
+
+
+def parse_sweep(text: str) -> list[ConeSpec]:
+    """Specs of a sweep list such as ``"2,2;3,3"``; ValueError if empty or malformed."""
+    specs = []
+    for item in text.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            m_str, n_str = item.split(",")
+            specs.append(ConeSpec(int(m_str), int(n_str)))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"bad sweep entry {item!r}: {exc}") from exc
+    if not specs:
+        raise ValueError("empty sweep list")
+    return specs
+
+
+def sweep_config(spec: ConeSpec, eps: float = 1e-3, tol: float = 1e-12,
+                 grid_step: float = SWEEP_GRID_STEP) -> ShootingConfig:
+    """The integration :func:`sweep_row` runs for ``spec`` (rtol <= 1e-13 at
+    low dimension); ValueError if it leaves the fit window too few samples."""
+    regime = regime_of(spec)
+    s_max, (lo, hi) = _SWEEP[regime]
+    rtol = tol if regime == "high_dim" else min(tol, 1e-13)
+    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, rtol=rtol,
+                              atol=rtol * 1e-2, grid_step=grid_step)
+    if math.log(hi / lo) < MIN_FIT_SAMPLES * grid_step:
+        raise ValueError(f"grid_step {grid_step} puts fewer than {MIN_FIT_SAMPLES} "
+                         f"samples in the fit window [{lo:g}, {hi:g}]")
+    return shooting
+
+
+def sweep_row(shooting: ShootingConfig) -> tuple[dict, ProfileCurve, GeometryTrace]:
+    """Fitted-versus-predicted decay summary for one :func:`sweep_config` run.
+
+    Returns (row, curve, trace).  Stable specs are fitted raw on
+    [50, 200]; oscillatory ones by their local-maxima envelope over
+    (5, 3e5), the region where the signal sits above the integrator's
+    roundoff floor (~rtol * s in zeta_0 = a b' - a' b).  Five envelope
+    peaks fit in that window for every low-dimension spec at
+    rtol = 1e-13.
+    """
+    spec = shooting.spec
+    regime = regime_of(spec)
+    curve = integrate_profile(shooting)
+    trace = geometry_trace(curve)
+    fit = fit_power_law(curve.s, trace.zeta0, _SWEEP[regime][1])
+    spectral = indicial_data(spec, link_eigenvalues(spec, 16))
+    cls = classify_against_indicial(fit, spectral)
+    mask = curve.s <= 1.0e3
+    short = ProfileCurve(spec=spec, start_axis=curve.start_axis, s=curve.s[mask],
+                         a=curve.a[mask], b=curve.b[mask], phi=curve.phi[mask])
+    row = {
+        "m": spec.m,
+        "n": spec.n,
+        "N": spec.N,
+        "stable": spectral.stable,
+        "predicted_nu_bar": predicted_nu_bar(spec, regime),
+        "fitted_exponent": fit.exponent,
+        "oscillatory": fit.oscillatory,
+        "nearest_root": cls["nearest_root"],
+        "gap": cls["gap"],
+        "crossings": cone_crossings(short),
+        "fit": {**fit.to_dict(), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
+    }
+    return row, curve, trace

@@ -53,6 +53,10 @@ __all__ = [
 
 StartAxis = Literal["axis_m", "axis_n"]
 
+#: Largest sample grid a :class:`ShootingConfig` accepts: about 7x the
+#: default Jacobi grid (145,576 samples, ~150 MB peak RSS for the run).
+MAX_GRID_SAMPLES = 1_000_000
+
 
 class IntegrationFailure(RuntimeError):
     """Profile integration aborted; carries the last valid arc length."""
@@ -88,6 +92,10 @@ class ShootingConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.s_max <= self.epsilon:
             raise ValueError("s_max must exceed epsilon")
+        steps = math.log(self.s_max / self.epsilon) / self.grid_step  # integrate_profile's grid
+        if steps > MAX_GRID_SAMPLES - 1:
+            raise ValueError(f"grid of {steps + 1:.3g} samples exceeds "
+                             f"MAX_GRID_SAMPLES = {MAX_GRID_SAMPLES}")
         if self.start_axis not in ("axis_m", "axis_n"):
             raise ValueError(f"unknown start_axis {self.start_axis!r}")
 

@@ -130,6 +130,16 @@ def _sphere_multiplicity(degree: int, ambient: int) -> int:
     return math.comb(p + degree, degree) - low
 
 
+#: Largest eigenvalue count :func:`link_eigenvalues` computes (0.08 s for (2,2)).
+MAX_EIGENVALUE_COUNT = 10_000
+
+
+def check_count(count: int) -> None:
+    """Raise ValueError unless 2 <= count <= MAX_EIGENVALUE_COUNT."""
+    if not 2 <= count <= MAX_EIGENVALUE_COUNT:
+        raise ValueError(f"count must lie in [2, {MAX_EIGENVALUE_COUNT}], got {count}")
+
+
 def link_eigenvalues(spec: ConeSpec, count: int) -> list[float]:
     """First ``count`` eigenvalues of minus the link Jacobi operator.
 
@@ -137,8 +147,7 @@ def link_eigenvalues(spec: ConeSpec, count: int) -> list[float]:
     (l, k) are enumerated up to the smallest bound whose cheapest new
     mode already exceeds the requested maximum.
     """
-    if count < 2:
-        raise ValueError("count must be >= 2")
+    check_count(count)
     m, n, N = spec.m, spec.n, spec.N
     cm = (N - 1) / (m - 1)
     cn = (N - 1) / (n - 1)
@@ -151,7 +160,9 @@ def link_eigenvalues(spec: ConeSpec, count: int) -> list[float]:
         values: list[float] = []
         for l in range(L + 1):
             for k in range(L + 1):
-                values.extend([lam(l, k)] * (_sphere_multiplicity(l, m) * _sphere_multiplicity(k, n)))
+                # more than ``count`` copies of one value never reach the answer
+                mult = _sphere_multiplicity(l, m) * _sphere_multiplicity(k, n)
+                values.extend([lam(l, k)] * min(mult, count))
         values.sort()
         if len(values) >= count:
             # any mode outside the enumerated square costs at least this much

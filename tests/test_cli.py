@@ -1,15 +1,22 @@
+import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cjlab.cli import main
+from cjlab.cli import OPTIONS, ConfigError, RunConfig, configure, main
 from cjlab.io import fmt10
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestFmt:
@@ -84,6 +91,18 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("command,text", [
+        (["plateau"], "count = 5\n"),
+        (["spectrum", "--m", "2", "--n", "2"], "s_max = 5\n"),
+        (["report"], "m = 2\n"),
+    ])
+    def test_key_the_command_does_not_read_exits_2(self, command, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_malformed_line_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("just words\n")
@@ -104,11 +123,159 @@ class TestBadInputsExit2:
         ["profile", "--m", "2", "--n", "2", "--tol", "nan"],
         ["profile", "--m", "2", "--n", "2", "--tol", "-1"],
         ["profile", "--m", "2", "--n", "2", "--grid-step", "nan"],
+        ["report", "--specs", "2,2", "--eps", "0.5"],
+        ["report", "--specs", "2,2", "--tol", "nan"],
+        ["report", "--specs", "4,4", "--grid-step", "0.5"],
+        ["jacobi", "--m", "2", "--n", "2", "--s-max", "0.5"],
+        ["plateau", "--N", "3", "--R", "1", "--r-max", "50"],
+        ["plateau", "--N", "3", "--R", "1", "--r-max", "1e308"],
+        ["plateau", "--N", "200", "--R", "1"],
+        ["plateau", "--N", "3", "--R", "1e300"],
+        ["plateau", "--N", "1" + "0" * 400],
+        ["spectrum", "--m", "3", "--n", "3", "--count", "10001"],
+        ["spectrum", "--m", "3", "--n", "3", "--format", "xml"],
+        ["spectrum", "--m", "3", "--n", "3", "--count=--"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["plateau", "--count", "5"],
+        ["spectrum", "--m", "2", "--n", "2", "--s-max", "5"],
+        ["spectrum", "--m", "2", "--n", "2", "--specs", "9,9"],
+        ["report", "--m", "2"],
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+
+#: The options each subcommand reads, besides --config and --help.
+READS = {
+    "spectrum": {"m", "n", "count", "format", "out"},
+    "profile": {"m", "n", "s_max", "eps", "tol", "grid_step", "out"},
+    "jacobi": {"m", "n", "s_max", "eps", "tol", "grid_step", "out"},
+    "plateau": {"N", "R", "r_max", "out"},
+    "report": {"eps", "tol", "grid_step", "format", "specs", "out"},
+}
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_exactly_the_options_read(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+        assert {o.name for o in OPTIONS if command in o.defaults} == READS[command]
+        assert listed == {"--" + k.replace("_", "-") for k in READS[command]} | {"--config", "--help"}
+
+    def test_each_option_declared_once(self):
+        names = [o.name for o in OPTIONS]
+        assert len(names) == len(set(names))
+
+    def test_manifest_echoes_resolved_options(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["plateau", "--R", "0.5", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config == {"command": "plateau", "N": 3, "R": 0.5, "r_max": 1000.0,
+                          "out": str(out)}
+
+
+#: Typical values of each option, as the text of a flag or config value.
+_TYPICAL = {
+    "m": st.integers(2, 12), "n": st.integers(2, 12), "N": st.integers(3, 12),
+    "count": st.integers(2, 64), "R": st.floats(0.1, 5.0), "r_max": st.floats(200.0, 1e4),
+    "s_max": st.floats(2.0, 3000.0), "eps": st.floats(1e-4, 0.05),
+    "tol": st.floats(1e-13, 1e-8), "grid_step": st.floats(1e-4, 1e-2),
+    "specs": st.sampled_from(["2,2", "4,4;5,5", "3,3;2,3"]),
+    "format": st.sampled_from(["csv", "json"]),
+}
+#: Bad and extreme ones: non-finite, zero, negative, huge, tiny, malformed.
+_EXTREME = {
+    int: st.sampled_from([0, 1, -1, -7, 10**6, 10**18]),
+    float: st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e300])),
+    str: st.sampled_from(["", ";", "2", "1,3", "2,2;x", "2.5,3", "xml"]),
+}
+_GARBAGE = st.text(alphabet="0123456789.e-+xn ", max_size=6)
+
+
+def _text(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def invocations(draw, commands=tuple(sorted(READS))):
+    """(command, flags, config-file values): a mix of the command's own options."""
+    command = draw(st.sampled_from(commands))
+    flags, config = {}, {}
+    for opt in OPTIONS:
+        if command not in opt.defaults or opt.name == "out":
+            continue
+        typical = _TYPICAL[opt.name].map(_text)
+        values = st.one_of(typical, typical, typical, typical,
+                           _EXTREME.get(opt.type, _EXTREME[str]).map(_text), _GARBAGE)
+        places = [(flags,), (config,), (flags, config)]
+        for target in draw(st.sampled_from(places + places + [()])):
+            target[opt.name] = draw(values)
+    return command, flags, config
+
+
+def _argv(tmp: str, command: str, flags: dict, config: dict) -> list[str]:
+    cfg_file = Path(tmp) / "run.cfg"
+    cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    argv = [command, "--config", str(cfg_file), "--out", str(Path(tmp) / "o")]
+    return argv + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+
+
+class TestInputChecking:
+    """Every input is checked before a command runs: ``configure`` returns a
+    RunConfig or raises ConfigError, and an accepted spectrum or plateau
+    run ends with exit 0, 2 or 4, never a traceback or a hang."""
+
+    @given(invocations())
+    @settings(max_examples=300, deadline=None)
+    def test_configure_returns_a_config_or_raises_config_error(self, invocation):
+        with tempfile.TemporaryDirectory() as tmp:
+            try:
+                assert isinstance(configure(_argv(tmp, *invocation)), RunConfig)
+            except ConfigError:
+                pass
+
+    @given(invocations(commands=("plateau", "spectrum")))
+    @settings(max_examples=150, deadline=None)
+    def test_accepted_runs_exit_0_2_or_4_in_bounded_time(self, invocation):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = _argv(tmp, *invocation)
+            try:
+                configure(argv)
+            except ConfigError:
+                return
+            start = time.monotonic()
+            assert main(argv) in (0, 2, 4)
+            assert time.monotonic() - start < 20.0
+
+
+class TestLibraryLayering:
+    def test_no_library_module_or_script_imports_the_cli(self):
+        files = sorted((ROOT / "src" / "cjlab").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+        offenders = []
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = ".".join(filter(None, ["cjlab" if node.level else "", node.module]))
+                    names = [base] + [f"{base}.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(n == "cjlab.cli" or n.startswith("cjlab.cli.") for n in names):
+                    offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
+        assert len(files) > 8
 
 
 class TestImportLayering:

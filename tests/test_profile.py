@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,7 +17,7 @@ from cjlab import (
     jacobi_field_translation,
 )
 from cjlab.decay import fit_power_law
-from cjlab.profile import _series_start, arc_length_defect
+from cjlab.profile import MAX_GRID_SAMPLES, _series_start, arc_length_defect
 
 
 def tiny_start_oracle(m, n, start_axis, eps):
@@ -62,6 +64,19 @@ class TestShootingConfig:
     def test_step_controls_finite_and_positive(self, name, value):
         with pytest.raises(ValueError, match=name):
             ShootingConfig(spec=ConeSpec(2, 2), **{name: value})
+
+    def test_grid_sample_cap(self):
+        # integrate_profile stores ceil(log(s_max/eps) / grid_step) + 1 samples
+        span = math.log(2100.0 / 1e-3)
+        ShootingConfig(spec=ConeSpec(2, 2), s_max=2100.0,
+                       grid_step=span / (MAX_GRID_SAMPLES - 1.5))  # MAX_GRID_SAMPLES samples
+        with pytest.raises(ValueError, match="MAX_GRID_SAMPLES"):  # one sample more
+            ShootingConfig(spec=ConeSpec(2, 2), s_max=2100.0,
+                           grid_step=span / (MAX_GRID_SAMPLES - 0.5))
+        with pytest.raises(ValueError, match="MAX_GRID_SAMPLES"):  # ~7e9 samples
+            ShootingConfig(spec=ConeSpec(2, 2), s_max=1.1, grid_step=1e-9)
+        with pytest.raises(ValueError, match="MAX_GRID_SAMPLES"):  # s_max/eps overflows
+            ShootingConfig(spec=ConeSpec(2, 2), s_max=1e308, grid_step=1.0)
 
 
 class TestIntegrateProfile:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjlab.spectra import (
+    MAX_EIGENVALUE_COUNT,
     ConeSpec,
     indicial_data,
     link_eigenvalues,
@@ -112,6 +113,14 @@ class TestLinkEigenvalues:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             link_eigenvalues(ConeSpec(2, 2), 1)
+        assert len(link_eigenvalues(ConeSpec(2, 2), MAX_EIGENVALUE_COUNT)) == 10_000
+        with pytest.raises(ValueError, match="count"):
+            link_eigenvalues(ConeSpec(2, 2), MAX_EIGENVALUE_COUNT + 1)
+
+    def test_huge_multiplicity_is_not_materialised(self):
+        # the l = 0, k = 1 mode alone has multiplicity n = 1e20
+        vals = link_eigenvalues(ConeSpec(2, 10**20), 12)
+        assert len(vals) == 12 and vals == sorted(vals)
 
 
 class TestIndicialData:
