@@ -14,7 +14,8 @@ Each option is declared once, in :data:`OPTIONS`, and a subcommand takes
 only the options it reads (``cjl <cmd> --help`` lists them), from flags
 and from the ``key = value`` file passed via ``--config`` alike; flags
 override file values.  :func:`check_inputs` casts and checks every value
-before a command runs and turns the library's ValueError into exit 2.
+before a command runs and turns the library's ValueError or
+OverflowError into exit 2.
 
 A run directory receives the data files plus ``manifest.json`` (config
 echo, tool version, wall time, sha256 checksums, summary metrics),
@@ -53,10 +54,10 @@ from cjlab.profile import (
     geometry_trace,
     integrate_profile,
 )
-from cjlab.plateau import check_zeta0_fit, minimal_graph_residual, plateau_profile, plateau_zeta0
+from cjlab.plateau import minimal_graph_residual, plateau_profile, plateau_zeta0
 from cjlab.spectra import (
     ConeSpec,
-    check_count,
+    SpectralData,
     indicial_data,
     link_eigenvalues,
     predicted_nu_bar,
@@ -97,13 +98,15 @@ class Option(NamedTuple):
 @dataclass(frozen=True)
 class RunConfig:
     """A checked run: the options its command reads, defaults filled in,
-    and the library objects built from them."""
+    and the library objects built (or, where cheap, computed) from them."""
 
     command: str
     values: dict
     spec: ConeSpec | None = None  # spectrum
+    spectral: SpectralData | None = None  # spectrum
     shooting: ShootingConfig | None = None  # profile, jacobi
     sweep: tuple[ShootingConfig, ...] = ()  # report
+    plateau: tuple | None = None  # (graph, zeta0, fit, flux residual sup)
 
 
 def _parse_config_file(path: Path) -> dict[str, str]:
@@ -126,7 +129,10 @@ def _parse_config_file(path: Path) -> dict[str, str]:
 def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
     """Cast and check every input of ``command``, given as option name -> text
     from flags and config file, and build the library objects it runs on
-    (their constructors check them); ConfigError on any bad input."""
+    (their constructors check them); ConfigError on any bad input.
+
+    The spectrum and the plateau graph with its zeta_0 fit take milliseconds,
+    so they are computed here and their own errors are the check."""
     options = {o.name: o for o in OPTIONS if command in o.defaults}
     unknown = sorted(raw.keys() - options.keys())
     if unknown:
@@ -145,23 +151,26 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
             v[name] = default(v) if callable(default) else default
     try:
         if command == "plateau":
-            check_zeta0_fit(v["N"], v["R"], v["r_max"])
-            return RunConfig(command, v)
+            graph = plateau_profile(v["N"], v["R"], v["r_max"])
+            return RunConfig(command, v, plateau=(graph, *plateau_zeta0(graph),
+                                                  minimal_graph_residual(graph)))
         if command == "report":
             return RunConfig(command, v, sweep=tuple(
                 sweep_config(spec, v["eps"], v["tol"], v["grid_step"])
                 for spec in parse_sweep(v["specs"])))
         spec = ConeSpec(v["m"], v["n"])
         if command == "spectrum":
-            check_count(v["count"])
-            return RunConfig(command, v, spec=spec)
+            return RunConfig(command, v, spec=spec, spectral=indicial_data(
+                spec, link_eigenvalues(spec, v["count"])))
         shooting = ShootingConfig(spec=spec, epsilon=v["eps"], s_max=v["s_max"], rtol=v["tol"],
                                   atol=v["tol"] * 1e-2, grid_step=v["grid_step"])
         if command == "jacobi" and not shooting.s_max > 1.0:
             raise ValueError("s_max must exceed 1 so that the curve covers s = 1")
         return RunConfig(command, v, shooting=shooting)
-    except (ValueError, OverflowError) as exc:  # e.g. an int too large for a float
+    except ValueError as exc:
         raise ConfigError(f"{command}: {exc}") from exc
+    except OverflowError as exc:  # e.g. R^(N-1), or an int too large for a float
+        raise ConfigError(f"{command}: a value leaves the float range: {exc}") from exc
 
 
 def _finish(out: Path, cfg: RunConfig, t_start: float, data_files: list[Path],
@@ -177,8 +186,7 @@ def _finish(out: Path, cfg: RunConfig, t_start: float, data_files: list[Path],
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path, t_start: float) -> int:
-    spec = cfg.spec
-    data = indicial_data(spec, link_eigenvalues(spec, cfg.values["count"]))
+    spec, data = cfg.spec, cfg.spectral
     if cfg.values["format"] == "json":
         path = out / "spectrum.json"
         write_json(path, data.to_dict())
@@ -294,10 +302,8 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
 
 
 def _cmd_plateau(cfg: RunConfig, out: Path, t_start: float) -> int:
-    N, R, r_max = (cfg.values[k] for k in ("N", "R", "r_max"))
-    graph = plateau_profile(N, R, r_max)
-    zeta0, fit = plateau_zeta0(graph)
-    flux_res = minimal_graph_residual(graph)
+    N, R = cfg.values["N"], cfg.values["R"]
+    graph, zeta0, fit, flux_res = cfg.plateau
     path = out / "plateau.csv"
     write_csv(path, ["r", "v", "dv", "zeta0", "flux_residual"],
               [graph.r, graph.v, graph.dv, zeta0, graph.flux_residual])

@@ -201,7 +201,10 @@ def parse_sweep(text: str) -> list[ConeSpec]:
 def sweep_config(spec: ConeSpec, eps: float = 1e-3, tol: float = 1e-12,
                  grid_step: float = SWEEP_GRID_STEP) -> ShootingConfig:
     """The integration :func:`sweep_row` runs for ``spec`` (rtol <= 1e-13 at
-    low dimension); ValueError if it leaves the fit window too few samples."""
+    low dimension); ValueError if it leaves the fit window too few samples.
+
+    The profile grid's log-s spacing is at most ``grid_step`` and covers the
+    window, so the window holds at least log(hi/lo) / grid_step samples."""
     regime = regime_of(spec)
     s_max, (lo, hi) = _SWEEP[regime]
     rtol = tol if regime == "high_dim" else min(tol, 1e-13)

@@ -32,13 +32,11 @@ dilation degenerate (the decay threshold 2-N is attained, not beaten).
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from cjlab.decay import MIN_FIT_SAMPLES, DecayFit, fit_power_law
+from cjlab.decay import DecayFit, fit_power_law
 
 __all__ = [
     "RadialGraph",
@@ -46,11 +44,7 @@ __all__ = [
     "alpha_of_R",
     "plateau_zeta0",
     "minimal_graph_residual",
-    "check_zeta0_fit",
 ]
-
-#: default decay-fit window of :func:`plateau_zeta0`, in units of R
-ZETA0_FIT_WINDOW = (1.0e2, 1.0e3)
 
 
 @dataclass(frozen=True)
@@ -72,8 +66,9 @@ class RadialGraph:
     @property
     def flux_residual(self) -> np.ndarray:
         """Pointwise |r^{N-1} v'/sqrt(1+v'^2) + R^{N-1}| on the grid."""
+        flux_const = self.flux_const  # OverflowError, before any overflowing array
         flux = self.r ** (self.N - 1) * self.dv / np.sqrt(1.0 + self.dv**2)
-        return np.abs(flux + self.flux_const)
+        return np.abs(flux + flux_const)
 
     @property
     def decay_coeff(self) -> float:
@@ -103,21 +98,16 @@ def alpha_of_R(N: int, R: float) -> float:
     return float(_height(N, R, 1.0))
 
 
-def _grid(N: int, R: float, r_max: float, num: int) -> np.ndarray:
-    """Log-uniform grid over (R, r_max], starting at R (1 + 1e-7)."""
-    _check_NR(N, R)
-    if not (np.isfinite(r_max) and r_max > R):
-        raise ValueError("r_max must be finite and exceed R")
-    return np.geomspace(R * (1.0 + 1e-7), r_max, num)
-
-
 def plateau_profile(N: int, R: float, r_max: float, num: int = 2000) -> RadialGraph:
     """Radial graph sampled on a log-uniform grid over (R, r_max].
 
     The grid starts at R (1 + 1e-7), close enough to the boundary to
     exhibit the v' -> -infinity blow-up.
     """
-    r = _grid(N, R, r_max, num)
+    _check_NR(N, R)
+    if not (np.isfinite(r_max) and r_max > R):
+        raise ValueError("r_max must be finite and exceed R")
+    r = np.geomspace(R * (1.0 + 1e-7), r_max, num)
     q = (R / r) ** (N - 1)
     dv = -q / np.sqrt(1.0 - q * q)
     return RadialGraph(N=N, R=float(R), r=r, v=_height(N, R, q), dv=dv,
@@ -139,22 +129,6 @@ def plateau_zeta0(graph: RadialGraph, fit_window: tuple[float, float] | None = N
     """
     zeta0 = (-graph.r * graph.dv + graph.v) / np.sqrt(1.0 + graph.dv**2)
     if fit_window is None:
-        fit_window = tuple(w * graph.R for w in ZETA0_FIT_WINDOW)
+        fit_window = (1.0e2 * graph.R, 1.0e3 * graph.R)
     fit = fit_power_law(graph.r, zeta0, fit_window)
     return zeta0, fit
-
-
-def check_zeta0_fit(N: int, R: float, r_max: float, num: int = 2000) -> None:
-    """Raise ValueError unless ``plateau_profile(N, R, r_max, num)`` and the
-    default fit of :func:`plateau_zeta0` run in floats: R^(N-1) must be
-    finite, and the fit window must hold MIN_FIT_SAMPLES grid points where
-    q = (R/r)^(N-1) and r q (<= zeta_0) are normal numbers."""
-    r = _grid(N, R, r_max, num)
-    if (N - 1) * math.log(R) >= math.log(sys.float_info.max):
-        raise ValueError(f"R^(N-1) overflows a float (N = {N}, R = {R})")
-    lo, hi = ZETA0_FIT_WINDOW
-    r = r[(r >= lo * R) & (r <= hi * R)]
-    log_q, tiny = (N - 1) * np.log(R / r), math.log(sys.float_info.min)
-    if np.count_nonzero((log_q > tiny) & (log_q + np.log(r) > tiny)) < MIN_FIT_SAMPLES:
-        raise ValueError(f"fewer than {MIN_FIT_SAMPLES} usable samples in the zeta_0 fit "
-                         f"window [{lo:g} R, {hi:g} R]: raise r_max or lower N")

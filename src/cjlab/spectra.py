@@ -134,12 +134,6 @@ def _sphere_multiplicity(degree: int, ambient: int) -> int:
 MAX_EIGENVALUE_COUNT = 10_000
 
 
-def check_count(count: int) -> None:
-    """Raise ValueError unless 2 <= count <= MAX_EIGENVALUE_COUNT."""
-    if not 2 <= count <= MAX_EIGENVALUE_COUNT:
-        raise ValueError(f"count must lie in [2, {MAX_EIGENVALUE_COUNT}], got {count}")
-
-
 def link_eigenvalues(spec: ConeSpec, count: int) -> list[float]:
     """First ``count`` eigenvalues of minus the link Jacobi operator.
 
@@ -147,7 +141,8 @@ def link_eigenvalues(spec: ConeSpec, count: int) -> list[float]:
     (l, k) are enumerated up to the smallest bound whose cheapest new
     mode already exceeds the requested maximum.
     """
-    check_count(count)
+    if not 2 <= count <= MAX_EIGENVALUE_COUNT:
+        raise ValueError(f"count must lie in [2, {MAX_EIGENVALUE_COUNT}], got {count}")
     m, n, N = spec.m, spec.n, spec.N
     cm = (N - 1) / (m - 1)
     cn = (N - 1) / (n - 1)

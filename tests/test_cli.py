@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -135,6 +136,9 @@ class TestBadInputsExit2:
         ["spectrum", "--m", "3", "--n", "3", "--count", "10001"],
         ["spectrum", "--m", "3", "--n", "3", "--format", "xml"],
         ["spectrum", "--m", "3", "--n", "3", "--count=--"],
+        ["spectrum", "--m", "1" + "0" * 160, "--n", "2"],
+        ["spectrum", "--m", "1" + "0" * 400, "--n", "2"],
+        ["report", "--specs", "4,4", "--grid-step", "0.0694"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -353,6 +357,12 @@ class TestPlateauCommand:
         assert metrics["flux_residual_sup"] <= 1e-10
         assert abs(metrics["zeta0_exponent"] - (-1.0)) < 0.02
 
+    @pytest.mark.parametrize("N,R,code", [(3, 5e-310, 0), (140, 1.0, 4)])
+    def test_subnormal_fit_samples_run(self, N, R, code, tmp_path):
+        # zeta_0 is subnormal but nonzero in the fit window; the fit still runs
+        # (a NaN flux residual exits 4)
+        assert main(["plateau", "--N", str(N), "--R", repr(R), "--out", str(tmp_path / "o")]) == code
+
     def test_bad_geometry_exits_2(self, tmp_path):
         assert main(["plateau", "--N", "3", "--R", "5", "--r-max", "2",
                      "--out", str(tmp_path / "o")]) == 2
@@ -378,6 +388,14 @@ class TestReportCommand:
         assert set(checksums) == {"report.json", "m4n4/profile.csv", "m5n5/profile.csv"}
         for name, digest in checksums.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("specs,window", [("4,4", (50.0, 200.0)), ("2,2", (5.0, 3.0e5))])
+    def test_fit_window_check_at_its_edge(self, specs, window, tmp_path):
+        # the largest grid_step the check accepts leaves the fit 20 samples
+        edge = math.log(window[1] / window[0]) / 20
+        argv = ["report", "--specs", specs, "--out", str(tmp_path / "o"), "--grid-step"]
+        assert main(argv + [repr(edge)]) in (0, 4)
+        assert main(argv + [repr(edge * 1.001)]) == 2
 
     def test_empty_sweep_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -8,7 +8,6 @@ from cjlab import (
     plateau_profile,
     plateau_zeta0,
 )
-from cjlab.plateau import check_zeta0_fit
 
 # independent oracle: alpha(1) at N = 3 reduces to int_0^1 (1-u^4)^{-1/2} du
 # via u = 1/rho (quartic lemniscate-type constant)
@@ -110,47 +109,6 @@ class TestPlateauProfile:
             plateau_profile(3, 1.0, 0.5)
         with pytest.raises(ValueError):
             plateau_profile(3, 1.0, np.inf)
-
-
-class TestCheckZeta0Fit:
-    @pytest.mark.parametrize("r_max", np.linspace(100.5, 110.0, 20))
-    def test_agrees_with_the_fit_at_the_window_edge(self, r_max):
-        # the default window [100, 1000] holds 20 samples from r_max ~ 104.7
-        try:
-            plateau_zeta0(plateau_profile(3, 1.0, r_max))
-            fits = True
-        except ValueError:
-            fits = False
-        try:
-            check_zeta0_fit(3, 1.0, r_max)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == fits
-
-    @pytest.mark.parametrize("N", [3, 12, 60, 100, 102, 104, 140])
-    @pytest.mark.parametrize("R", [1e-300, 0.5, 2.75, 1e10])
-    def test_accepted_geometries_fit(self, N, R):
-        try:
-            check_zeta0_fit(N, R, 2.0e3 * R)
-        except ValueError:
-            return
-        _, fit = plateau_zeta0(plateau_profile(N, R, 2.0e3 * R))
-        assert np.isfinite(fit.exponent)
-
-    @pytest.mark.parametrize("N,R,r_max", [
-        (3, 1.0, 50.0),  # no sample in the window
-        (3, 1.0, 1e308),  # 7 samples in the window
-        (200, 1.0, 2000.0),  # zeta_0 underflows in the window
-        (3, 5e-324, 1e-320),  # subnormal R
-        (3, 1e300, 2e303),  # R^(N-1) overflows
-        (2, 1.0, 2000.0),
-        (3, np.nan, 2000.0),
-        (3, 1.0, np.inf),
-    ])
-    def test_rejects(self, N, R, r_max):
-        with pytest.raises(ValueError):
-            check_zeta0_fit(N, R, r_max)
 
 
 def betainc_oracle(N, R, r):
