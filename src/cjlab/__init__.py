@@ -6,8 +6,8 @@ spectrum of the link Jacobi operator and the indicial roots at infinity
 (:mod:`cjlab.spectra`), integrates the arc-length profile curve of the
 invariant hypersurface together with its geometric Jacobi fields
 (:mod:`cjlab.profile`), solves the reduced Jacobi equation
-psi'' + alpha psi' + beta psi = f through a log-radial change of
-variables and variation of parameters (:mod:`cjlab.jacobi`), evaluates
+psi'' + alpha psi' + beta psi = f as one initial value problem from the
+axis, with log-radial diagnostics (:mod:`cjlab.jacobi`), evaluates
 the explicit radial exterior minimal graph (:mod:`cjlab.plateau`), and
 estimates decay exponents of the computed fields (:mod:`cjlab.decay`).
 """

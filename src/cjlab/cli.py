@@ -41,6 +41,7 @@ from cjlab import __version__
 from cjlab.decay import DEFAULT_SWEEP, SWEEP_GRID_STEP, parse_sweep, sweep_config, sweep_row
 from cjlab.io import file_checksums, write_csv, write_json
 from cjlab.jacobi import (
+    DiagnosticError,
     decay_diagnostics,
     near_origin_behavior,
     residual_sup,
@@ -255,6 +256,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
     curve = integrate_profile(cfg.shooting)
     trace = geometry_trace(curve)
     sol = solve_jacobi(curve, trace)
+    origin = near_origin_behavior(sol, curve.spec)
     files = [_profile_csv(out, curve, trace)]
 
     jac_path = out / "jacobi.csv"
@@ -267,7 +269,6 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
     )
     files.append(jac_path)
 
-    origin = near_origin_behavior(sol, curve.spec)
     report = dict(sol.decay_report or decay_diagnostics(sol, curve.spec, require_coverage=False))
     report["near_origin"] = {
         "exponent": origin.exponent,
@@ -287,6 +288,8 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
         "residual_target": target,
         "t0": sol.ef.t0,
         "t1": sol.ef.t1,
+        "psi_atol": sol.atol,
+        "psi_nfev": sol.nfev,
         "wronskian_drift_left": sol.left_pair.wronskian_drift,
         "wronskian_drift_middle": sol.middle_pair.wronskian_drift,
         "near_origin_exponent": origin.exponent,
@@ -437,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[cfg.command](cfg, out, t_start)
     except NumericalTargetMiss as exc:
         print(f"numerical target missed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except DiagnosticError as exc:
+        print(f"diagnostic failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IntegrationFailure as exc:
         print(f"integration failure: {exc} (last s = {exc.last_s:.6g})", file=sys.stderr)

@@ -1,10 +1,15 @@
-"""Reduced Jacobi equation on an invariant profile, solved in log-radial form.
+"""Reduced Jacobi equation on an invariant profile, and its log-radial form.
 
 For O(m)xO(n)-invariant data the Jacobi equation J psi = f reduces to
 
     psi_ss + alpha psi_s + beta psi = f,      alpha = (m-1)a'/a + (n-1)b'/b,
 
-with beta = |A|^2.  The substitution s = e^t, psi = p(t) u(t) with
+with beta = |A|^2.  :func:`solve_jacobi` computes the solution growing
+from zero at the axis as one initial value problem in t = log s, which
+carries the profile (a, b, phi) along with (psi, psi_t), so alpha, beta
+and f are closed forms at every stage and no interpolant is built.
+
+The substitution s = e^t, psi = p(t) u(t) with
 
     p(t) = exp(-int_0^t (A(tau) - 1)/2 dtau),      A(t) := alpha(e^t) e^t,
 
@@ -17,25 +22,12 @@ removes the first-order term and yields
 where A_t = alpha'(e^t) e^{2t} + A is evaluated from the closed form of
 alpha' along the profile (no numerical differentiation).  V tends to
 -(n-2)^2/4 as t -> -infinity and to -(N-2)^2/4 + (N-1) as t -> +infinity.
-
-The solution growing from zero at the axis is built on three intervals:
-
-* left (t <= t0, with zeta_0 sign-definite): u_+ = zeta_0 / p is an exact
-  homogeneous solution, u_- = u_+ int u_+^{-2} completes the fundamental
-  pair with unit Wronskian, and the particular solution is the
-  variation-of-parameters combination with both quadratures started at
-  the grid edge t_min = log(epsilon) (the improper -infinity limits are
-  truncated there; the truncation error is O(e^{(n+2) t_min / 2}));
-* middle (t0 <= t <= t1): a fundamental pair v_+/- with unit-matrix
-  initial data at t0 plus variation of parameters, continuing the left
-  Cauchy data;
-* right (t >= t1): direct continuation of the inhomogeneous initial
-  value problem (numerically equivalent to a bounded-pair construction
-  once V has settled near its limit).
-
-All cumulative quadratures use the antiderivative of a cubic-spline
-interpolant on the uniform t grid (fourth-order accuracy on the same
-nodes a trapezoid rule would use).
+Its fundamental pairs are diagnostics of the solve: on t <= t0, where
+zeta_0 is sign-definite, u_+ = zeta_0 / p is exact and u_- = u_+ int
+u_+^{-2} (a cubic-spline antiderivative on the t grid), and
+:func:`left_particular_vop` builds psi / p from them by quadrature as an
+independent cross-check; on [t0, t1] the Wronskian drift of a pair with
+unit-matrix data at t0 measures the integration error.
 """
 
 from __future__ import annotations
@@ -46,8 +38,16 @@ from typing import Callable
 
 import numpy as np
 
-from cjlab.decay import DecayFit, _lstsq_fit
-from cjlab.profile import GeometryTrace, ProfileCurve, geometry_trace
+from cjlab.decay import _lstsq_fit
+from cjlab.profile import (
+    GeometryTrace,
+    IntegrationFailure,
+    ProfileCurve,
+    _rhs,
+    _series_start,
+    curvature_terms,
+    geometry_trace,
+)
 from cjlab.spectra import ConeSpec
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
     "FundamentalPair",
     "JacobiSolution",
     "NearOriginFit",
+    "DiagnosticError",
     "BreakpointError",
     "emden_fowler_transform",
     "left_fundamental_pair",
@@ -69,12 +70,19 @@ __all__ = [
 #: |V - V(+inf)| threshold that places the right breakpoint t1.
 V_SETTLE_TOL = 1e-2
 
+#: relative tolerance of every solve_ivp call in this module.
+RTOL = 1e-13
+
 #: finite-difference step (in t) targeted by the residual evaluator;
 #: balances h^2 truncation against roundoff amplified by 1/h^2.
 RESIDUAL_FD_STEP = 7e-4
 
 
-class BreakpointError(ValueError):
+class DiagnosticError(ValueError):
+    """A diagnostic cannot be computed on this grid; the message names the stage."""
+
+
+class BreakpointError(DiagnosticError):
     """zeta_0 changes sign inside the requested left interval."""
 
 
@@ -97,10 +105,6 @@ class EmdenFowlerData:
     @property
     def s(self) -> np.ndarray:
         return np.exp(self.t_grid)
-
-    @property
-    def grid_step(self) -> float:
-        return float(self.t_grid[1] - self.t_grid[0])
 
 
 @dataclass(frozen=True)
@@ -136,8 +140,11 @@ class JacobiSolution:
     ef: EmdenFowlerData
     left_pair: FundamentalPair
     middle_pair: FundamentalPair
-    u: np.ndarray
     f: np.ndarray
+    #: (a, b, phi, psi, psi_t) of the initial value problem on the grid
+    state: np.ndarray = field(repr=False)
+    atol: float
+    nfev: int
     decay_report: dict = field(default_factory=dict)
 
 
@@ -223,7 +230,7 @@ def _cumulative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return F(t) - F(t[0])
 
 
-def left_fundamental_pair(ef: EmdenFowlerData, zeta0: np.ndarray | None = None) -> FundamentalPair:
+def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     """Fundamental pair on (t_min, t0] built from the dilation field.
 
     u_+ = zeta_0 / p is an exact homogeneous solution; the companion is
@@ -236,13 +243,14 @@ def left_fundamental_pair(ef: EmdenFowlerData, zeta0: np.ndarray | None = None) 
     Raises :class:`BreakpointError` if zeta_0 changes sign on the
     interval, in which case the caller must shrink t0.
     """
-    if zeta0 is None:
-        zeta0 = ef.zeta0
     k = ef.i0 + 1
-    z = zeta0[:k]
+    if k < 2:
+        raise DiagnosticError("left pair: fewer than 2 grid samples on (t_min, t0]; "
+                              "refine the grid")
+    z = ef.zeta0[:k]
     if np.any(z == 0.0) or (np.min(z) < 0.0 < np.max(z)):
         raise BreakpointError(
-            "zeta_0 changes sign on (t_min, t0]; shrink t0 below the first zero"
+            "left pair: zeta_0 changes sign on (t_min, t0]; shrink t0 below the first zero"
         )
     t = ef.t_grid[:k]
     p = ef.p[:k]
@@ -263,134 +271,101 @@ def left_fundamental_pair(ef: EmdenFowlerData, zeta0: np.ndarray | None = None) 
     )
 
 
-def _particular_vop(
-    t: np.ndarray,
-    pair_plus: np.ndarray,
-    pair_minus: np.ndarray,
-    dpair_plus: np.ndarray,
-    dpair_minus: np.ndarray,
-    f_tilde: np.ndarray,
-    wronskian: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Variation-of-parameters particular solution with zero data at t[0]."""
-    J_plus = _cumulative(t, pair_plus * f_tilde)
-    J_minus = _cumulative(t, pair_minus * f_tilde)
-    u = (pair_minus * J_plus - pair_plus * J_minus) / wronskian
-    du = (dpair_minus * J_plus - dpair_plus * J_minus) / wronskian
-    return u, du
-
-
-def left_particular_vop(ef: EmdenFowlerData, pair: FundamentalPair | None = None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+def left_particular_vop(ef: EmdenFowlerData) -> np.ndarray:
     """Left-interval particular solution by the explicit quadrature form.
 
     u(t) = u_-(t) int u_+ ftilde - u_+(t) int u_- ftilde with both
-    integrals truncated at t_min.  Mathematically identical to the
-    zero-data initial value problem used by :func:`solve_jacobi`; kept
-    as the directly quoted construction and for cross-validation.
+    integrals truncated at t_min, i.e. zero Cauchy data there.
+    Mathematically identical to psi / p from :func:`solve_jacobi`, and
+    computed independently of it, so it serves as a cross-check where
+    its conditioning allows (its intermediates grow like
+    u_+(t0)^2 / u_+(t_min)^2 ~ eps^{-(n-2)}).
     """
-    if pair is None:
-        pair = left_fundamental_pair(ef)
-    k = len(pair.t)
-    return _particular_vop(pair.t, pair.u_plus, pair.u_minus, pair.du_plus,
-                           pair.du_minus, ef.f_tilde[:k], pair.wronskian)
+    pair = left_fundamental_pair(ef)
+    f_tilde = ef.f_tilde[: len(pair.t)]
+    J_plus = _cumulative(pair.t, pair.u_plus * f_tilde)
+    J_minus = _cumulative(pair.t, pair.u_minus * f_tilde)
+    return (pair.u_minus * J_plus - pair.u_plus * J_minus) / pair.wronskian
 
 
 def solve_jacobi(
     curve: ProfileCurve,
     trace: GeometryTrace | None = None,
-    f: np.ndarray | None = None,
-    rtol: float = 1e-13,
-    atol: float = 1e-30,
+    f: Callable | None = None,
     attach_decay_report: bool = True,
 ) -> JacobiSolution:
     """Solve psi'' + alpha psi' + beta psi = f along the profile curve.
 
-    Returns the solution with zero Cauchy data at s = epsilon (the
-    truncated stand-in for the solution decaying at the axis).  The
+    ``f(s, a, b, phi)`` gives the forcing at profile points and must accept
+    floats and arrays alike; it defaults to tr(A^3).  The curve must come
+    from :func:`integrate_profile`: the profile is integrated again, from
+    the same series start at s = epsilon, together with (psi, psi_t) from
+    zero data there (the truncated stand-in for the solution decaying at
+    the axis), in one DOP853 run in t = log s with rtol :data:`RTOL` and
+    atol = 1e-14 epsilon^2 (psi grows like s^2 from the axis).  The
     residual is re-evaluated from the psi samples by centred finite
     differences in t with step close to :data:`RESIDUAL_FD_STEP`, and
-    reported as a sup over s in [2 epsilon, s_max / 2].
+    reported as a sup over s in [2 epsilon, s_max / 2].  A grid too coarse
+    for a diagnostic raises :class:`DiagnosticError` naming the stage.
     """
     # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
 
+    spec = curve.spec
     if trace is None:
         trace = geometry_trace(curve)
     if f is None:
-        f = trace.trA3
-    f = np.asarray(f, dtype=float)
-    ef = emden_fowler_transform(curve, trace, f)
-    t, s, p = ef.t_grid, ef.s, ef.p
-    i0, i1 = ef.i0, ef.i1
+        def f(s, a, b, phi):
+            return curvature_terms(spec, a, b, phi)[3]
+    s, t = curve.s, curve.t
+    f_grid = np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
+    ef = emden_fowler_transform(curve, trace, f_grid)
 
+    def rhs(tt, y):
+        ss = math.exp(tt)
+        a, b, phi, psi, psi_t = y
+        da, db, dphi = _rhs(ss, (a, b, phi), spec.m, spec.n)
+        _, alpha, A2, _ = curvature_terms(spec, a, b, phi)
+        return [ss * da, ss * db, ss * dphi, psi_t,
+                psi_t * (1.0 - ss * alpha) + ss * ss * (f(ss, a, b, phi) - A2 * psi)]
+
+    atol = 1e-14 * float(s[0]) ** 2
+    y0 = _series_start(spec, curve.start_axis, float(s[0])) + [0.0, 0.0]
+    ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
+    if ivp.status != 0:
+        raise IntegrationFailure(f"psi solve: {ivp.message}",
+                                 last_s=math.exp(ivp.t[-1]) if ivp.t.size else float(s[0]))
+    psi = ivp.y[3]
+    # diagnostics only: the exact left pair, and the Wronskian drift of a
+    # pair with unit-matrix data at t0 integrated across [t0, t1]
     left = left_fundamental_pair(ef)
-
-    V_sp = CubicSpline(t, ef.V)
-    F_sp = CubicSpline(t, ef.f_tilde)
-
-    def hom_rhs(tt, y):
-        return [y[1], -V_sp(tt) * y[0]]
-
-    def inhom_rhs(tt, y):
-        return [y[1], F_sp(tt) - V_sp(tt) * y[0]]
-
-    # The truncated variation-of-parameters solution has zero Cauchy data
-    # at t_min, so it *is* the zero-data initial value problem.  The IVP
-    # form is used here because the explicit quadrature combination
-    # u_- J_+ - u_+ J_- runs through intermediates of size u_+(t0)^2 /
-    # u_+(t_min)^2 ~ eps^{-(n-2)}, whose roundoff (amplified by the
-    # finite-difference residual check) dominates the error budget for
-    # n >= 4.  The two forms agree to the quadrature/IVP tolerance; the
-    # quadrature route stays available via left_fundamental_pair and
-    # left_particular_vop.  The near-zero atol keeps the step control
-    # relative even where the solution is still ~e^{2t}-small.
-    sol_l = solve_ivp(inhom_rhs, (t[0], t[i0]), [0.0, 0.0], method="DOP853",
-                      rtol=rtol, atol=atol, dense_output=True)
-    uL, duL = sol_l.sol(t[: i0 + 1])
-
-    t_mid = t[i0 : i1 + 1]
-    sol_p = solve_ivp(hom_rhs, (t_mid[0], t_mid[-1]), [1.0, 0.0], method="DOP853",
-                      rtol=rtol, atol=atol, dense_output=True)
-    sol_m = solve_ivp(hom_rhs, (t_mid[0], t_mid[-1]), [0.0, 1.0], method="DOP853",
-                      rtol=rtol, atol=atol, dense_output=True)
-    vp, dvp = sol_p.sol(t_mid)
-    vm, dvm = sol_m.sol(t_mid)
-    middle = FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp,
-                             du_minus=dvm, wronskian=1.0)
-    uP, duP = _particular_vop(t_mid, vp, vm, dvp, dvm, ef.f_tilde[i0 : i1 + 1], 1.0)
-    uM = uL[-1] * vp + duL[-1] * vm + uP
-    duM = uL[-1] * dvp + duL[-1] * dvm + duP
-
-    t_right = t[i1:]
-    sol_r = solve_ivp(inhom_rhs, (t_right[0], t_right[-1]), [uM[-1], duM[-1]],
-                      method="DOP853", rtol=rtol, atol=atol, dense_output=True)
-    uR, duR = sol_r.sol(t_right)
-
-    u = np.concatenate([uL[:-1], uM[:-1], uR])
-    du = np.concatenate([duL[:-1], duM[:-1], duR])
-    psi = p * u
-    dpsi = p * (du - u * (ef.A - 1.0) / 2.0) / s
-
-    resid = _fd_residual(curve, trace, f, psi)
-    lo, hi = 2.0 * s[0], s[-1] / 2.0
-    sup = residual_sup(s, resid, lo, hi)
+    t_mid = t[ef.i0 : ef.i1 + 1]
+    V = CubicSpline(t_mid, ef.V[ef.i0 : ef.i1 + 1])
+    (vp, dvp), (vm, dvm) = (
+        solve_ivp(lambda tt, y: [y[1], -V(tt) * y[0]], (t_mid[0], t_mid[-1]), data,
+                  method="DOP853", rtol=RTOL, atol=atol, t_eval=t_mid).y
+        for data in ([1.0, 0.0], [0.0, 1.0])
+    )
+    resid = _fd_residual(curve, trace, f_grid, psi)
     sol = JacobiSolution(
         s=s,
         t=t,
         psi=psi,
-        dpsi=dpsi,
+        dpsi=ivp.y[4] / s,
         residual_pointwise=resid,
-        residual=sup,
+        residual=residual_sup(s, resid, 2.0 * s[0], s[-1] / 2.0),
         ef=ef,
         left_pair=left,
-        middle_pair=middle,
-        u=u,
-        f=f,
+        middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp,
+                                    du_minus=dvm, wronskian=1.0),
+        f=f_grid,
+        state=ivp.y,
+        atol=atol,
+        nfev=ivp.nfev,
     )
     if attach_decay_report and s[-1] >= 4.0 * _first_dyadic_edge():
-        sol.decay_report = decay_diagnostics(sol, curve.spec, require_coverage=False)
+        sol.decay_report = decay_diagnostics(sol, spec, require_coverage=False)
     return sol
 
 
@@ -474,6 +449,9 @@ def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec, require_coverage: boo
     k = int(math.log2(edge))
     while 2.0 ** (k + 1) <= sol.s[-1]:
         mask = (sol.s >= 2.0**k) & (sol.s <= 2.0 ** (k + 1))
+        if not mask.any():
+            raise DiagnosticError(f"decay windows: no grid sample in [{2**k}, {2 ** (k + 1)}]; "
+                                  "refine the grid")
         windows.append([2.0**k, 2.0 ** (k + 1)])
         sups.append(float(np.max(q[mask])))
         k += 1
@@ -534,7 +512,8 @@ def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec,
         raise ValueError("near-origin window must stay below s = 1")
     mask = (sol.s >= lo) & (sol.s <= hi) & (sol.psi != 0.0)
     if int(mask.sum()) < 20:
-        raise ValueError("need >= 20 samples in the near-origin window")
+        raise DiagnosticError(f"near-origin fit: {int(mask.sum())} nonzero samples in "
+                              f"[{lo:.3g}, {hi:.3g}], need >= 20; refine the grid")
     logs = np.log(sol.s[mask])
     logy = np.log(np.abs(sol.psi[mask]))
     exp_plain, _, rms_plain = _lstsq_fit(logs, logy, with_log=False)

@@ -43,6 +43,7 @@ __all__ = [
     "IntegrationFailure",
     "integrate_profile",
     "geometry_trace",
+    "curvature_terms",
     "arc_length_defect",
     "cone_ray",
     "jacobi_field_dilation",
@@ -116,11 +117,6 @@ class ProfileCurve:
     def t(self) -> np.ndarray:
         """log(s) grid."""
         return np.log(self.s)
-
-    @property
-    def grid_step(self) -> float:
-        t = self.t
-        return float(t[1] - t[0])
 
 
 @dataclass(frozen=True)
@@ -219,9 +215,21 @@ def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:
     )
 
 
-def _dphi(curve: ProfileCurve) -> np.ndarray:
-    m, n = curve.spec.m, curve.spec.n
-    return (n - 1) * np.cos(curve.phi) / curve.b - (m - 1) * np.sin(curve.phi) / curve.a
+def curvature_terms(spec: ConeSpec, a, b, phi):
+    """Closed-form phi', alpha, |A|^2 and tr(A^3) at profile points (a, b, phi).
+
+    Takes floats or arrays; :func:`geometry_trace` and the Jacobi solve
+    both evaluate the geometry through this one function.
+    """
+    m, n = spec.m, spec.n
+    ap, bp = np.cos(phi), np.sin(phi)
+    dphi = (n - 1) * ap / b - (m - 1) * bp / a
+    ka = bp / a
+    kb = -ap / b
+    alpha = (m - 1) * ap / a + (n - 1) * bp / b
+    A2 = dphi**2 + (m - 1) * ka**2 + (n - 1) * kb**2
+    trA3 = dphi**3 + (m - 1) * ka**3 + (n - 1) * kb**3
+    return dphi, alpha, A2, trA3
 
 
 def _fd_derivative_log(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -252,12 +260,7 @@ def geometry_trace(curve: ProfileCurve, spec: ConeSpec | None = None) -> Geometr
     if np.any(s <= 0.0) or np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("geometry trace requires samples with s, a, b > 0")
     ap, bp = np.cos(phi), np.sin(phi)
-    dphi = _dphi(curve)
-    ka = np.sin(phi) / a
-    kb = -np.cos(phi) / b
-    alpha = (m - 1) * ap / a + (n - 1) * bp / b
-    A2 = dphi**2 + (m - 1) * ka**2 + (n - 1) * kb**2
-    trA3 = dphi**3 + (m - 1) * ka**3 + (n - 1) * kb**3
+    dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, phi)
     zeta0 = a * bp - ap * b
     dphi_fd = _fd_derivative_log(curve.t, phi) / s
     Hres = dphi_fd + (m - 1) * np.sin(phi) / a - (n - 1) * np.cos(phi) / b

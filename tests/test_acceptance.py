@@ -32,7 +32,7 @@ from cjlab import (
 )
 from cjlab.decay import fit_power_law
 from cjlab.jacobi import decay_diagnostics, residual_sup
-from cjlab.profile import arc_length_defect
+from cjlab.profile import arc_length_defect, curvature_terms
 from cjlab.cli import main as cli_main
 
 
@@ -148,10 +148,16 @@ def test_c07_jacobi_solve(jacobi_solutions):
         ok &= res <= target and drift <= 1e-8
         details.append(f"({m},{n}) res={res:.1e}<= {target:.1e} drift={drift:.1e}")
     curve, trace, _ = jacobi_solutions[(3, 3)]
-    f1, f2 = trace.trA3, (1.0 + curve.s**2) ** -2
+
+    def f1(s, a, b, phi):
+        return curvature_terms(curve.spec, a, b, phi)[3]
+
+    def f2(s, a, b, phi):
+        return (1.0 + s**2) ** -2
+
     s1 = solve_jacobi(curve, trace, f1, attach_decay_report=False)
     s2 = solve_jacobi(curve, trace, f2, attach_decay_report=False)
-    s12 = solve_jacobi(curve, trace, f1 + f2, attach_decay_report=False)
+    s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x), attach_decay_report=False)
     super_rel = float(
         np.max(np.abs(s12.psi - s1.psi - s2.psi)) / np.max(np.abs(s12.psi))
     )

@@ -337,6 +337,20 @@ class TestJacobiCommand:
             assert hashlib.sha256(data).hexdigest() == digest
         header = (out / "jacobi.csv").read_text().splitlines()[0]
         assert header == "s,t,p,V,ftilde,psi,dpsi,residual"
+        assert manifest["metrics"]["psi_atol"] == pytest.approx(1e-20)
+        assert manifest["metrics"]["psi_nfev"] > 0
+
+    @pytest.mark.parametrize("grid_step,stage", [
+        ("1", "left pair"),
+        ("0.2", "near-origin fit"),
+        ("0.5", "near-origin fit"),
+        ("0.8", "decay windows"),
+    ])
+    def test_coarse_grid_exits_4_naming_the_stage(self, grid_step, stage, tmp_path, capsys):
+        argv = ["jacobi", "--m", "2", "--n", "2", "--grid-step", grid_step]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and stage in err[0]
 
     def test_profile_command(self, tmp_path):
         out = tmp_path / "o"

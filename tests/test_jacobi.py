@@ -5,14 +5,17 @@ import pytest
 
 from cjlab import (
     ConeSpec,
+    ShootingConfig,
     cone_ray,
     emden_fowler_transform,
     geometry_trace,
+    integrate_profile,
     left_fundamental_pair,
     near_origin_behavior,
     solve_jacobi,
     weighted_sup_norm,
 )
+from cjlab.cli import RESIDUAL_TARGET_FACTOR
 from cjlab.jacobi import (
     BreakpointError,
     decay_diagnostics,
@@ -20,6 +23,7 @@ from cjlab.jacobi import (
     residual_sup,
     sharp_weight,
 )
+from cjlab.profile import curvature_terms
 
 
 def fd_second(t, y):
@@ -114,22 +118,33 @@ class TestLeftFundamentalPair:
             left_fundamental_pair(bad)
 
     def test_vop_form_matches_ivp_solution(self, jacobi_solutions):
-        """The explicit quadrature construction agrees with the zero-data
-        initial value problem where its conditioning allows (n <= 3)."""
+        """The explicit quadrature construction agrees with psi / p from the
+        zero-data initial value problem where its conditioning allows (n <= 3)."""
         for (m, n) in [(2, 2), (2, 3), (3, 3)]:
             curve, trace, sol = jacobi_solutions[(m, n)]
-            u_vop, _ = left_particular_vop(sol.ef)
-            i0 = sol.ef.i0
-            scale = np.max(np.abs(sol.u[: i0 + 1]))
-            assert np.max(np.abs(u_vop - sol.u[: i0 + 1])) <= 1e-8 * scale
+            u_vop = left_particular_vop(sol.ef)
+            k = sol.ef.i0 + 1
+            u = sol.psi[:k] / sol.ef.p[:k]
+            assert np.max(np.abs(u_vop - u)) <= 1e-8 * np.max(np.abs(u))
 
 
 class TestSolveJacobi:
     def test_zero_forcing_gives_zero(self, jacobi_solutions):
         curve, trace, _ = jacobi_solutions[(2, 2)]
-        sol = solve_jacobi(curve, trace, np.zeros_like(curve.s),
+        sol = solve_jacobi(curve, trace, lambda s, a, b, phi: 0.0 * s,
                            attach_decay_report=False)
         assert np.max(np.abs(sol.psi)) == 0.0
+
+    def test_default_forcing_is_trA3(self, jacobi_solutions):
+        for curve, trace, sol in jacobi_solutions.values():
+            assert np.array_equal(sol.f, trace.trA3)
+
+    def test_profile_integrated_with_psi_matches_curve(self, jacobi_solutions):
+        """The IVP carries (a, b, phi) along with psi; it retraces the stored
+        profile, which integrate_profile computed separately."""
+        for curve, _, sol in jacobi_solutions.values():
+            gap = np.abs(sol.state[:3] - np.array([curve.a, curve.b, curve.phi]))
+            assert np.max(gap) <= 1e-9
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 4)])
     def test_residual_target(self, m, n, jacobi_solutions):
@@ -149,11 +164,16 @@ class TestSolveJacobi:
 
     def test_superposition(self, jacobi_solutions):
         curve, trace, _ = jacobi_solutions[(3, 3)]
-        f1 = trace.trA3
-        f2 = (1.0 + curve.s**2) ** -2
+
+        def f1(s, a, b, phi):
+            return curvature_terms(curve.spec, a, b, phi)[3]
+
+        def f2(s, a, b, phi):
+            return (1.0 + s**2) ** -2
+
         s1 = solve_jacobi(curve, trace, f1, attach_decay_report=False)
         s2 = solve_jacobi(curve, trace, f2, attach_decay_report=False)
-        s12 = solve_jacobi(curve, trace, f1 + f2, attach_decay_report=False)
+        s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x), attach_decay_report=False)
         err = np.max(np.abs(s12.psi - s1.psi - s2.psi))
         assert err <= 1e-8 * np.max(np.abs(s12.psi))
 
@@ -178,6 +198,17 @@ class TestSolveJacobi:
                     + trace.A2[sl][1:-1] * psi[1:-1]
                 )
                 assert np.max(np.abs(resid)) <= 1e-4 * (1 + np.max(np.abs(psi)))
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 11))
+def test_residual_target_on_the_envelope(m, n):
+    """Every spec with m, n in [2, 10] meets the cjl jacobi residual target
+    on s_max = 2100 at grid step 1e-3."""
+    cfg = ShootingConfig(spec=ConeSpec(m, n), s_max=2100.0, grid_step=1e-3)
+    sol = solve_jacobi(integrate_profile(cfg), attach_decay_report=False)
+    target = RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(sol.f)))
+    assert residual_sup(sol.s, sol.residual_pointwise, 2.0 * sol.s[0], 500.0) <= target
 
 
 class TestNearOrigin:
