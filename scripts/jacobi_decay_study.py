@@ -19,6 +19,7 @@ from cjlab import (
     near_origin_behavior,
     solve_jacobi,
 )
+from cjlab.jacobi import decay_diagnostics
 
 
 def main() -> None:
@@ -33,7 +34,7 @@ def main() -> None:
                                              grid_step=1e-4))
     trace = geometry_trace(curve)
     sol = solve_jacobi(curve, trace)
-    report = sol.decay_report
+    report = decay_diagnostics(sol, spec)
 
     print(f"spec ({spec.m},{spec.n}), N = {spec.N}; weight: {report['weight']}")
     print(f"residual sup (re-evaluated by finite differences): {sol.residual:.3e}")

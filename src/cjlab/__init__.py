@@ -14,18 +14,11 @@ estimates decay exponents of the computed fields (:mod:`cjlab.decay`).
 
 from cjlab.spectra import (
     ConeSpec,
-    SpectralData,
-    SolvabilityWindow,
-    link_radii,
     link_eigenvalues,
     indicial_data,
-    predicted_nu_bar,
-    solvability_window,
 )
 from cjlab.profile import (
     ShootingConfig,
-    ProfileCurve,
-    GeometryTrace,
     IntegrationFailure,
     integrate_profile,
     geometry_trace,
@@ -36,39 +29,26 @@ from cjlab.profile import (
     cone_crossings,
 )
 from cjlab.jacobi import (
-    EmdenFowlerData,
-    FundamentalPair,
-    JacobiSolution,
     emden_fowler_transform,
     left_fundamental_pair,
     solve_jacobi,
     near_origin_behavior,
-    decay_diagnostics,
     weighted_sup_norm,
 )
 from cjlab.plateau import (
-    RadialGraph,
     plateau_profile,
     alpha_of_R,
     plateau_zeta0,
     minimal_graph_residual,
 )
-from cjlab.decay import DecayFit, fit_power_law, classify_against_indicial
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConeSpec",
-    "SpectralData",
-    "SolvabilityWindow",
-    "link_radii",
     "link_eigenvalues",
     "indicial_data",
-    "predicted_nu_bar",
-    "solvability_window",
     "ShootingConfig",
-    "ProfileCurve",
-    "GeometryTrace",
     "IntegrationFailure",
     "integrate_profile",
     "geometry_trace",
@@ -77,22 +57,14 @@ __all__ = [
     "jacobi_field_translation",
     "jacobi_field_rotation",
     "cone_crossings",
-    "EmdenFowlerData",
-    "FundamentalPair",
-    "JacobiSolution",
     "emden_fowler_transform",
     "left_fundamental_pair",
     "solve_jacobi",
     "near_origin_behavior",
-    "decay_diagnostics",
     "weighted_sup_norm",
-    "RadialGraph",
     "plateau_profile",
     "alpha_of_R",
     "plateau_zeta0",
     "minimal_graph_residual",
-    "DecayFit",
-    "fit_power_law",
-    "classify_against_indicial",
     "__version__",
 ]

@@ -44,7 +44,6 @@ from cjlab.jacobi import (
     DiagnosticError,
     decay_diagnostics,
     near_origin_behavior,
-    residual_sup,
     solve_jacobi,
 )
 from cjlab.profile import (
@@ -256,6 +255,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
     curve = integrate_profile(cfg.shooting)
     trace = geometry_trace(curve)
     sol = solve_jacobi(curve, trace)
+    report = decay_diagnostics(sol, curve.spec)
     origin = near_origin_behavior(sol, curve.spec)
     files = [_profile_csv(out, curve, trace)]
 
@@ -269,7 +269,6 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
     )
     files.append(jac_path)
 
-    report = dict(sol.decay_report or decay_diagnostics(sol, curve.spec, require_coverage=False))
     report["near_origin"] = {
         "exponent": origin.exponent,
         "log_coeff": origin.log_coeff,
@@ -281,8 +280,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
 
     f_sup = float(np.max(np.abs(sol.f)))
     target = RESIDUAL_TARGET_FACTOR * (1.0 + f_sup)
-    clip_hi = min(500.0, sol.s[-1] / 2.0)
-    res = residual_sup(sol.s, sol.residual_pointwise, 2.0 * sol.s[0], clip_hi)
+    res = sol.residual
     metrics = {
         "residual_sup": res,
         "residual_target": target,
@@ -294,7 +292,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
         "wronskian_drift_middle": sol.middle_pair.wronskian_drift,
         "near_origin_exponent": origin.exponent,
         "log_detected": origin.log_detected,
-        "weighted_sups": report.get("sups", []),
+        "weighted_sups": report["sups"],
     }
     _finish(out, cfg, t_start, files, metrics)
     print(f"jacobi ({curve.spec.m},{curve.spec.n}): residual={res:.3e} "

@@ -32,6 +32,7 @@ unit-matrix data at t0 measures the integration error.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -72,6 +73,10 @@ V_SETTLE_TOL = 1e-2
 
 #: relative tolerance of every solve_ivp call in this module.
 RTOL = 1e-13
+
+#: RHS evaluations after which the psi solve gives up (30x the most a default
+#: run takes): near-axis curvature noise can keep DOP853 refining without end.
+MAX_PSI_NFEV = 500_000
 
 #: finite-difference step (in t) targeted by the residual evaluator;
 #: balances h^2 truncation against roundoff amplified by 1/h^2.
@@ -145,23 +150,17 @@ class JacobiSolution:
     state: np.ndarray = field(repr=False)
     atol: float
     nfev: int
-    decay_report: dict = field(default_factory=dict)
 
 
-def emden_fowler_transform(
-    curve: ProfileCurve,
-    trace: GeometryTrace | None = None,
-    f: np.ndarray | None = None,
-) -> EmdenFowlerData:
+def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
+                           f: np.ndarray) -> EmdenFowlerData:
     """Build p, V and ftilde on the curve's log-uniform grid.
 
-    ``f`` defaults to tr(A^3) from the trace.  The grid must contain
-    s = 1 (t = 0), where p is normalised to 1.
+    Since A = d/dt ((m-1) log a + (n-1) log b), the weight is the closed
+    form p = exp(L(0) - L) with L = ((m-1) log a + (n-1) log b - t) / 2.
+    The grid must contain s = 1 (t = 0), where p is normalised to 1; L(0)
+    is the cubic through the four samples nearest t = 0.
     """
-    if trace is None:
-        trace = geometry_trace(curve)
-    if f is None:
-        f = trace.trA3
     t = curve.t
     s = curve.s
     if not (s[0] < 1.0 < s[-1]):
@@ -170,13 +169,11 @@ def emden_fowler_transform(
     if f.shape != s.shape:
         raise ValueError("f must be sampled on the curve grid")
 
-    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
-    from scipy.interpolate import CubicSpline
-
+    m, n = curve.spec.m, curve.spec.n
+    L = 0.5 * ((m - 1) * np.log(curve.a) + (n - 1) * np.log(curve.b) - t)
+    k = int(np.clip(np.searchsorted(t, 0.0) - 2, 0, len(t) - 4))
+    p = np.exp(np.polyval(np.polyfit(t[k : k + 4], L[k : k + 4], 3), 0.0) - L)
     A = trace.alpha * s
-    h_spline = CubicSpline(t, 0.5 * (A - 1.0))
-    P = h_spline.antiderivative()
-    p = np.exp(-(P(t) - P(0.0)))
     A_t = trace.alpha_prime * s * s + A
     V = -0.25 * (A - 1.0) ** 2 - 0.5 * A_t + trace.A2 * s * s
     f_tilde = s * s * f / p
@@ -257,7 +254,10 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     u_plus = z / p
     # d/dt of zeta_0/p, using p'/p = -(A-1)/2
     du_plus = (ef.dzeta0_dt[:k] + z * (ef.A[:k] - 1.0) / 2.0) / p
-    I = _cumulative(t, 1.0 / u_plus**2)
+    w = 1.0 / u_plus**2
+    if not np.all(np.isfinite(w)):
+        raise DiagnosticError("left pair: u_+ = zeta_0 / p leaves the float range; raise epsilon")
+    I = _cumulative(t, w)
     I -= I[-1]
     u_minus = u_plus * I
     du_minus = du_plus * I + 1.0 / u_plus
@@ -292,7 +292,6 @@ def solve_jacobi(
     curve: ProfileCurve,
     trace: GeometryTrace | None = None,
     f: Callable | None = None,
-    attach_decay_report: bool = True,
 ) -> JacobiSolution:
     """Solve psi'' + alpha psi' + beta psi = f along the profile curve.
 
@@ -305,8 +304,10 @@ def solve_jacobi(
     atol = 1e-14 epsilon^2 (psi grows like s^2 from the axis).  The
     residual is re-evaluated from the psi samples by centred finite
     differences in t with step close to :data:`RESIDUAL_FD_STEP`, and
-    reported as a sup over s in [2 epsilon, s_max / 2].  A grid too coarse
-    for a diagnostic raises :class:`DiagnosticError` naming the stage.
+    reported as a sup over s in [2 epsilon, min(500, s_max / 2)], beyond
+    which the residual of the decaying tail is finite-difference noise.  A
+    grid too coarse for a diagnostic raises :class:`DiagnosticError`
+    naming the stage.
     """
     # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
     from scipy.integrate import solve_ivp
@@ -315,27 +316,30 @@ def solve_jacobi(
     spec = curve.spec
     if trace is None:
         trace = geometry_trace(curve)
-    if f is None:
-        def f(s, a, b, phi):
-            return curvature_terms(spec, a, b, phi)[3]
     s, t = curve.s, curve.t
-    f_grid = np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
+    f_grid = trace.trA3 if f is None else np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
     ef = emden_fowler_transform(curve, trace, f_grid)
+
+    calls = itertools.count(1)
 
     def rhs(tt, y):
         ss = math.exp(tt)
+        if next(calls) > MAX_PSI_NFEV:
+            raise IntegrationFailure(f"psi solve: over {MAX_PSI_NFEV} right-hand-side evaluations",
+                                     last_s=ss)
         a, b, phi, psi, psi_t = y
         da, db, dphi = _rhs(ss, (a, b, phi), spec.m, spec.n)
-        _, alpha, A2, _ = curvature_terms(spec, a, b, phi)
+        _, alpha, A2, trA3 = curvature_terms(spec, a, b, phi)
+        force = trA3 if f is None else f(ss, a, b, phi)
         return [ss * da, ss * db, ss * dphi, psi_t,
-                psi_t * (1.0 - ss * alpha) + ss * ss * (f(ss, a, b, phi) - A2 * psi)]
+                psi_t * (1.0 - ss * alpha) + ss * ss * (force - A2 * psi)]
 
     atol = 1e-14 * float(s[0]) ** 2
     y0 = _series_start(spec, curve.start_axis, float(s[0])) + [0.0, 0.0]
     ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
     if ivp.status != 0:
         raise IntegrationFailure(f"psi solve: {ivp.message}",
-                                 last_s=math.exp(ivp.t[-1]) if ivp.t.size else float(s[0]))
+                                 last_s=math.exp(ivp.t[-1]) if len(ivp.t) else float(s[0]))
     psi = ivp.y[3]
     # diagnostics only: the exact left pair, and the Wronskian drift of a
     # pair with unit-matrix data at t0 integrated across [t0, t1]
@@ -348,13 +352,13 @@ def solve_jacobi(
         for data in ([1.0, 0.0], [0.0, 1.0])
     )
     resid = _fd_residual(curve, trace, f_grid, psi)
-    sol = JacobiSolution(
+    return JacobiSolution(
         s=s,
         t=t,
         psi=psi,
         dpsi=ivp.y[4] / s,
         residual_pointwise=resid,
-        residual=residual_sup(s, resid, 2.0 * s[0], s[-1] / 2.0),
+        residual=residual_sup(s, resid, 2.0 * s[0], min(500.0, s[-1] / 2.0)),
         ef=ef,
         left_pair=left,
         middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp,
@@ -364,9 +368,6 @@ def solve_jacobi(
         atol=atol,
         nfev=ivp.nfev,
     )
-    if attach_decay_report and s[-1] >= 4.0 * _first_dyadic_edge():
-        sol.decay_report = decay_diagnostics(sol, spec, require_coverage=False)
-    return sol
 
 
 def _fd_residual(
@@ -428,25 +429,19 @@ def sharp_weight(spec: ConeSpec) -> tuple[str, Callable[[np.ndarray], np.ndarray
     return "sqrt_s_plus_1_over_log", lambda s: np.sqrt(s + 1.0) / np.log(s + 2.0)
 
 
-def _first_dyadic_edge() -> int:
-    return 2**7  # first window at [128, 256]: entirely beyond s = 100
-
-
-def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec, require_coverage: bool = True) -> dict:
+def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec) -> dict:
     """Dyadic-window sups of the N-appropriate weighted |psi|.
 
     Windows are [2^k, 2^{k+1}] with 2^k >= 128 (the first dyadic edge
     past s = 100).  Boundedness of the weighted solution is encoded as
-    the ratio of consecutive window sups staying below 1.1.
+    the ratio of consecutive window sups staying below 1.1; it is None
+    when the curve is too short for two windows, so there is no ratio.
     """
-    if require_coverage and sol.s[-1] < 1.0e3:
-        raise ValueError("decay diagnostics need coverage up to s >= 1e3")
     name, weight = sharp_weight(spec)
     q = weight(sol.s) * np.abs(sol.psi)
-    edge = _first_dyadic_edge()
     windows: list[list[float]] = []
     sups: list[float] = []
-    k = int(math.log2(edge))
+    k = 7
     while 2.0 ** (k + 1) <= sol.s[-1]:
         mask = (sol.s >= 2.0**k) & (sol.s <= 2.0 ** (k + 1))
         if not mask.any():
@@ -467,7 +462,7 @@ def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec, require_coverage: boo
         "windows": windows,
         "sups": sups,
         "ratios": ratios,
-        "bounded_within_factor": bool(all(r <= 1.1 for r in ratios)),
+        "bounded_within_factor": all(r <= 1.1 for r in ratios) if ratios else None,
         "fitted_exponent": exponent,
     }
 
@@ -509,7 +504,8 @@ def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec,
         window = (10.0 * sol.s[0], 100.0 * sol.s[0])
     lo, hi = window
     if hi >= 1.0:
-        raise ValueError("near-origin window must stay below s = 1")
+        raise DiagnosticError(f"near-origin fit: window [{lo:.3g}, {hi:.3g}] must stay "
+                              "below s = 1; lower epsilon")
     mask = (sol.s >= lo) & (sol.s <= hi) & (sol.psi != 0.0)
     if int(mask.sum()) < 20:
         raise DiagnosticError(f"near-origin fit: {int(mask.sum())} nonzero samples in "

@@ -57,6 +57,9 @@ StartAxis = Literal["axis_m", "axis_n"]
 #: Largest sample grid a :class:`ShootingConfig` accepts: about 7x the
 #: default Jacobi grid (145,576 samples, ~150 MB peak RSS for the run).
 MAX_GRID_SAMPLES = 1_000_000
+#: The profile's stiffness, and with it the integrator's step count, grows
+#: like max(m, n): about 1 s per 10,000 at the default settings.
+MAX_SHOOTING_DIMENSION = 100
 
 
 class IntegrationFailure(RuntimeError):
@@ -87,6 +90,8 @@ class ShootingConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.1:
             raise ValueError("epsilon must lie in (0, 0.1)")
+        if max(self.spec.m, self.spec.n) > MAX_SHOOTING_DIMENSION:
+            raise ValueError(f"m and n must not exceed {MAX_SHOOTING_DIMENSION}")
         for name in ("s_max", "rtol", "atol", "grid_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -190,6 +195,10 @@ def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     s = np.exp(t)
     s[0], s[-1] = cfg.epsilon, cfg.s_max
     a, b, phi = sol.sol(s)
+    outside = np.nonzero(~((a > 0.0) & (b > 0.0)))[0]
+    if len(outside):  # the dense output of a loose-tolerance run can cross an axis
+        raise IntegrationFailure(f"profile samples for (m,n)=({m},{n}) leave the open quadrant",
+                                 last_s=float(s[max(outside[0] - 1, 0)]))
     return ProfileCurve(
         spec=cfg.spec,
         start_axis=cfg.start_axis,
@@ -246,7 +255,7 @@ def _fd_derivative_log(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def geometry_trace(curve: ProfileCurve, spec: ConeSpec | None = None) -> GeometryTrace:
+def geometry_trace(curve: ProfileCurve) -> GeometryTrace:
     """Evaluate alpha, |A|^2, tr(A^3), zeta_0 and the H-residual.
 
     All fields come from closed forms in (s, a, b, phi); the H-residual
@@ -254,7 +263,7 @@ def geometry_trace(curve: ProfileCurve, spec: ConeSpec | None = None) -> Geometr
     samples, so it measures how well the stored curve satisfies the
     curvature equation independently of the integrator.
     """
-    spec = spec or curve.spec
+    spec = curve.spec
     m, n = spec.m, spec.n
     a, b, phi, s = curve.a, curve.b, curve.phi, curve.s
     if np.any(s <= 0.0) or np.any(a <= 0.0) or np.any(b <= 0.0):
@@ -301,10 +310,9 @@ def jacobi_field_rotation(curve: ProfileCurve) -> np.ndarray:
     return curve.a * np.cos(curve.phi) + curve.b * np.sin(curve.phi)
 
 
-def cone_crossings(curve: ProfileCurve, spec: ConeSpec | None = None) -> int:
+def cone_crossings(curve: ProfileCurve) -> int:
     """Number of strict sign changes of (n-1) a^2 - (m-1) b^2."""
-    spec = spec or curve.spec
-    side = (spec.n - 1) * curve.a**2 - (spec.m - 1) * curve.b**2
+    side = (curve.spec.n - 1) * curve.a**2 - (curve.spec.m - 1) * curve.b**2
     sgn = np.sign(side)
     sgn = sgn[sgn != 0]
     return int(np.sum(sgn[1:] * sgn[:-1] < 0))

@@ -155,9 +155,9 @@ def test_c07_jacobi_solve(jacobi_solutions):
     def f2(s, a, b, phi):
         return (1.0 + s**2) ** -2
 
-    s1 = solve_jacobi(curve, trace, f1, attach_decay_report=False)
-    s2 = solve_jacobi(curve, trace, f2, attach_decay_report=False)
-    s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x), attach_decay_report=False)
+    s1 = solve_jacobi(curve, trace, f1)
+    s2 = solve_jacobi(curve, trace, f2)
+    s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x))
     super_rel = float(
         np.max(np.abs(s12.psi - s1.psi - s2.psi)) / np.max(np.abs(s12.psi))
     )
@@ -175,7 +175,7 @@ def test_c07_jacobi_solve(jacobi_solutions):
 def test_c08_sharp_decay_windows(m, n, jacobi_solutions):
     t0 = time.monotonic()
     curve, _, sol = jacobi_solutions[(m, n)]
-    report = sol.decay_report or decay_diagnostics(sol, curve.spec)
+    report = decay_diagnostics(sol, curve.spec)
     ratios = report["ratios"]
     elapsed = time.monotonic() - t0
     ok = all(r <= 1.1 for r in ratios)

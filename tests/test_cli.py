@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -139,6 +140,8 @@ class TestBadInputsExit2:
         ["spectrum", "--m", "1" + "0" * 160, "--n", "2"],
         ["spectrum", "--m", "1" + "0" * 400, "--n", "2"],
         ["report", "--specs", "4,4", "--grid-step", "0.0694"],
+        ["profile", "--m", "101", "--n", "2"],
+        ["jacobi", "--m", "2", "--n", "1000000"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -262,6 +265,21 @@ class TestInputChecking:
             assert main(argv) in (0, 2, 4)
             assert time.monotonic() - start < 20.0
 
+    @given(st.sampled_from(["profile", "jacobi"]), st.fixed_dictionaries({
+        "m": _TYPICAL["m"], "n": _TYPICAL["n"],
+        "tol": st.one_of(_TYPICAL["tol"], _TYPICAL["tol"], _TYPICAL["tol"], _EXTREME[float]),
+        "s_max": st.floats(2.0, 300.0), "grid_step": st.floats(1e-3, 1.0),
+        "eps": st.floats(0.0, 0.1, exclude_min=True, exclude_max=True)}))
+    @settings(max_examples=40, deadline=None)
+    def test_profile_and_jacobi_runs_end_to_end(self, command, flags):
+        """Accepted profile and jacobi runs go through every stage; s_max and
+        grid_step are bounded to keep each run short."""
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = _argv(tmp, command, {k: _text(v) for k, v in flags.items()}, {})
+            start = time.monotonic()
+            assert main(argv) in (0, 2, 4)
+            assert time.monotonic() - start < 20.0
+
 
 class TestLibraryLayering:
     def test_no_library_module_or_script_imports_the_cli(self):
@@ -280,6 +298,16 @@ class TestLibraryLayering:
                     offenders.append(f"{path.name}:{node.lineno}")
         assert offenders == []
         assert len(files) > 8
+
+
+def test_benchmark_sites_resolve():
+    """Every call site the benchmark's tracer wraps names a function of its module."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for module, names in tracing.SITES.items() for name in names
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
 
 
 class TestImportLayering:
@@ -321,6 +349,9 @@ class TestIOFailures:
         assert not out.exists()
 
 
+M2N2 = ["--m", "2", "--n", "2"]
+
+
 class TestJacobiCommand:
     def test_full_run(self, tmp_path):
         out = tmp_path / "o"
@@ -340,15 +371,17 @@ class TestJacobiCommand:
         assert manifest["metrics"]["psi_atol"] == pytest.approx(1e-20)
         assert manifest["metrics"]["psi_nfev"] > 0
 
-    @pytest.mark.parametrize("grid_step,stage", [
-        ("1", "left pair"),
-        ("0.2", "near-origin fit"),
-        ("0.5", "near-origin fit"),
-        ("0.8", "decay windows"),
+    @pytest.mark.parametrize("argv,stage", [
+        pytest.param([*M2N2, "--grid-step", "1"], "left pair", id="1-left pair"),
+        pytest.param([*M2N2, "--grid-step", "0.2"], "near-origin fit", id="0.2-near-origin fit"),
+        pytest.param([*M2N2, "--grid-step", "0.5"], "near-origin fit", id="0.5-near-origin fit"),
+        pytest.param([*M2N2, "--grid-step", "0.8"], "decay windows", id="0.8-decay windows"),
+        # the default near-origin window [10 eps, 100 eps] reaches s = 1
+        pytest.param(["--m", "3", "--n", "3", "--eps", "0.02"], "near-origin fit",
+                     id="eps0.02-near-origin fit"),
     ])
-    def test_coarse_grid_exits_4_naming_the_stage(self, grid_step, stage, tmp_path, capsys):
-        argv = ["jacobi", "--m", "2", "--n", "2", "--grid-step", grid_step]
-        assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+    def test_coarse_grid_exits_4_naming_the_stage(self, argv, stage, tmp_path, capsys):
+        assert main(["jacobi", *argv, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and stage in err[0]
 

@@ -5,6 +5,7 @@ import pytest
 
 from cjlab import (
     ConeSpec,
+    IntegrationFailure,
     ShootingConfig,
     cone_ray,
     emden_fowler_transform,
@@ -15,6 +16,7 @@ from cjlab import (
     solve_jacobi,
     weighted_sup_norm,
 )
+from cjlab import jacobi
 from cjlab.cli import RESIDUAL_TARGET_FACTOR
 from cjlab.jacobi import (
     BreakpointError,
@@ -39,7 +41,8 @@ class TestEmdenFowlerTransform:
         spec = ConeSpec(2, 3)
         s = np.geomspace(1e-2, 1e2, 4001)
         ray = cone_ray(spec, s)
-        ef = emden_fowler_transform(ray, geometry_trace(ray))
+        trace = geometry_trace(ray)
+        ef = emden_fowler_transform(ray, trace, trace.trA3)
         N = spec.N
         v_const = -((N - 2) ** 2) / 4 + (N - 1)
         assert np.max(np.abs(ef.V - v_const)) < 1e-11
@@ -72,8 +75,9 @@ class TestEmdenFowlerTransform:
     def test_requires_s_equal_one_in_range(self):
         spec = ConeSpec(2, 2)
         ray = cone_ray(spec, np.geomspace(2.0, 50.0, 800))
+        trace = geometry_trace(ray)
         with pytest.raises(ValueError):
-            emden_fowler_transform(ray, geometry_trace(ray))
+            emden_fowler_transform(ray, trace, trace.trA3)
 
     def test_breakpoint_has_no_sign_change(self, jacobi_solutions):
         for (m, n), (curve, trace, sol) in jacobi_solutions.items():
@@ -131,13 +135,17 @@ class TestLeftFundamentalPair:
 class TestSolveJacobi:
     def test_zero_forcing_gives_zero(self, jacobi_solutions):
         curve, trace, _ = jacobi_solutions[(2, 2)]
-        sol = solve_jacobi(curve, trace, lambda s, a, b, phi: 0.0 * s,
-                           attach_decay_report=False)
+        sol = solve_jacobi(curve, trace, lambda s, a, b, phi: 0.0 * s)
         assert np.max(np.abs(sol.psi)) == 0.0
 
     def test_default_forcing_is_trA3(self, jacobi_solutions):
         for curve, trace, sol in jacobi_solutions.values():
             assert np.array_equal(sol.f, trace.trA3)
+
+    def test_evaluation_budget_ends_the_solve(self, short_curves, short_traces, monkeypatch):
+        monkeypatch.setattr(jacobi, "MAX_PSI_NFEV", 100)
+        with pytest.raises(IntegrationFailure, match="psi solve"):
+            solve_jacobi(short_curves[(2, 2)], short_traces[(2, 2)])
 
     def test_profile_integrated_with_psi_matches_curve(self, jacobi_solutions):
         """The IVP carries (a, b, phi) along with psi; it retraces the stored
@@ -150,7 +158,8 @@ class TestSolveJacobi:
     def test_residual_target(self, m, n, jacobi_solutions):
         _, trace, sol = jacobi_solutions[(m, n)]
         target = 1e-6 * (1.0 + np.max(np.abs(sol.f)))
-        assert residual_sup(sol.s, sol.residual_pointwise, 2e-3, 500.0) <= target
+        assert sol.residual == residual_sup(sol.s, sol.residual_pointwise, 2e-3, 500.0)
+        assert sol.residual <= target
 
     def test_solution_is_c1_across_breakpoints(self, jacobi_solutions):
         for _, _, sol in jacobi_solutions.values():
@@ -171,9 +180,9 @@ class TestSolveJacobi:
         def f2(s, a, b, phi):
             return (1.0 + s**2) ** -2
 
-        s1 = solve_jacobi(curve, trace, f1, attach_decay_report=False)
-        s2 = solve_jacobi(curve, trace, f2, attach_decay_report=False)
-        s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x), attach_decay_report=False)
+        s1 = solve_jacobi(curve, trace, f1)
+        s2 = solve_jacobi(curve, trace, f2)
+        s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x))
         err = np.max(np.abs(s12.psi - s1.psi - s2.psi))
         assert err <= 1e-8 * np.max(np.abs(s12.psi))
 
@@ -206,9 +215,9 @@ def test_residual_target_on_the_envelope(m, n):
     """Every spec with m, n in [2, 10] meets the cjl jacobi residual target
     on s_max = 2100 at grid step 1e-3."""
     cfg = ShootingConfig(spec=ConeSpec(m, n), s_max=2100.0, grid_step=1e-3)
-    sol = solve_jacobi(integrate_profile(cfg), attach_decay_report=False)
+    sol = solve_jacobi(integrate_profile(cfg))
     target = RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(sol.f)))
-    assert residual_sup(sol.s, sol.residual_pointwise, 2.0 * sol.s[0], 500.0) <= target
+    assert sol.residual <= target
 
 
 class TestNearOrigin:
@@ -244,21 +253,22 @@ class TestDecayDiagnostics:
         assert sharp_weight(ConeSpec(2, 2))[0] == "sqrt_s_plus_1_over_log"
 
     def test_windows_are_dyadic_beyond_100(self, jacobi_solutions):
-        _, _, sol = jacobi_solutions[(3, 3)]
-        report = sol.decay_report
+        curve, _, sol = jacobi_solutions[(3, 3)]
+        report = decay_diagnostics(sol, curve.spec)
         assert report["windows"][0] == [128.0, 256.0]
         for (lo, hi) in report["windows"]:
             assert hi == 2 * lo and lo >= 100.0
 
     def test_plain_weight_bounded_for_33(self, jacobi_solutions):
-        _, _, sol = jacobi_solutions[(3, 3)]
-        assert sol.decay_report["bounded_within_factor"]
+        curve, _, sol = jacobi_solutions[(3, 3)]
+        assert decay_diagnostics(sol, curve.spec)["bounded_within_factor"] is True
 
-    def test_coverage_requirement(self, short_curves, short_traces):
+    def test_bounded_flag_is_null_without_ratios(self, short_curves, short_traces):
+        """s_max = 200 holds no dyadic window, so there is no ratio to bound."""
         curve, trace = short_curves[(3, 3)], short_traces[(3, 3)]
-        sol = solve_jacobi(curve, trace, attach_decay_report=False)
-        with pytest.raises(ValueError):
-            decay_diagnostics(sol, curve.spec)
+        report = decay_diagnostics(solve_jacobi(curve, trace), curve.spec)
+        assert report["windows"] == [] and report["ratios"] == []
+        assert report["bounded_within_factor"] is None
 
 
 class TestWeightedSupNorm:

@@ -117,6 +117,15 @@ class TestIntegrateProfile:
                                              grid_step=1e-3))
         assert 0 < err.value.last_s < 50.0
 
+    def test_samples_outside_the_quadrant_raise(self):
+        """A tolerance so loose that the dense output crosses an axis between
+        accepted steps ends the run instead of handing on a curve with b < 0."""
+        cfg = ShootingConfig(spec=ConeSpec(2, 9), epsilon=0.056, s_max=88.6, grid_step=0.597,
+                             rtol=3.5e261, atol=3.5e259)
+        with pytest.raises(IntegrationFailure, match="open quadrant") as err:
+            integrate_profile(cfg)
+        assert 0.056 <= err.value.last_s < 88.6
+
 
 class TestConeRay:
     def test_ray_balances_curvature_equation(self):
