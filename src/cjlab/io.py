@@ -2,7 +2,9 @@
 
 All numbers are written with 10 significant digits and a ``.`` decimal
 point, so identical run configurations produce byte-identical data
-files.  The manifest (which records wall time) is written last and is
+files.  A CSV row is one ``%`` format: ``%.10g`` (the bytes of
+``format(x, ".10g")``) for floating columns, :func:`fmt10` text for the
+others.  The manifest (which records wall time) is written last and is
 the only non-reproducible artifact.
 """
 
@@ -48,21 +50,15 @@ def _round10(obj):
 
 
 def write_csv(path: Path, header: Iterable[str], columns: Iterable[np.ndarray]) -> None:
-    header = list(header)
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns must share a length")
-    rendered = [
-        [fmt10(x) for x in col]
-        if not np.issubdtype(col.dtype, np.floating)
-        else np.char.mod("%.10g", col).tolist()
-        for col in columns
-    ]
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in zip(*rendered))
+    floating = [np.issubdtype(c.dtype, np.floating) for c in columns]
+    row = ",".join("%.10g" if fl else "%s" for fl in floating) + "\n"
+    cells = [c.tolist() if fl else [fmt10(x) for x in c] for c, fl in zip(columns, floating)]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n" + "".join(map(row.__mod__, zip(*cells))))
 
 
 def write_json(path: Path, payload: dict) -> None:

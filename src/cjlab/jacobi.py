@@ -172,7 +172,8 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
     m, n = curve.spec.m, curve.spec.n
     L = 0.5 * ((m - 1) * np.log(curve.a) + (n - 1) * np.log(curve.b) - t)
     k = int(np.clip(np.searchsorted(t, 0.0) - 2, 0, len(t) - 4))
-    p = np.exp(np.polyval(np.polyfit(t[k : k + 4], L[k : k + 4], 3), 0.0) - L)
+    with np.errstate(over="ignore"):  # an infinite p stops the left pair
+        p = np.exp(np.polyval(np.polyfit(t[k : k + 4], L[k : k + 4], 3), 0.0) - L)
     A = trace.alpha * s
     A_t = trace.alpha_prime * s * s + A
     V = -0.25 * (A - 1.0) ** 2 - 0.5 * A_t + trace.A2 * s * s
@@ -254,7 +255,8 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     u_plus = z / p
     # d/dt of zeta_0/p, using p'/p = -(A-1)/2
     du_plus = (ef.dzeta0_dt[:k] + z * (ef.A[:k] - 1.0) / 2.0) / p
-    w = 1.0 / u_plus**2
+    with np.errstate(divide="ignore", over="ignore"):
+        w = 1.0 / u_plus**2
     if not np.all(np.isfinite(w)):
         raise DiagnosticError("left pair: u_+ = zeta_0 / p leaves the float range; raise epsilon")
     I = _cumulative(t, w)
@@ -342,15 +344,14 @@ def solve_jacobi(
                                  last_s=math.exp(ivp.t[-1]) if len(ivp.t) else float(s[0]))
     psi = ivp.y[3]
     # diagnostics only: the exact left pair, and the Wronskian drift of a
-    # pair with unit-matrix data at t0 integrated across [t0, t1]
+    # pair with unit-matrix data at t0 integrated across [t0, t1], both
+    # columns as one IVP in (u_+, u_-, u_+', u_-')
     left = left_fundamental_pair(ef)
     t_mid = t[ef.i0 : ef.i1 + 1]
     V = CubicSpline(t_mid, ef.V[ef.i0 : ef.i1 + 1])
-    (vp, dvp), (vm, dvm) = (
-        solve_ivp(lambda tt, y: [y[1], -V(tt) * y[0]], (t_mid[0], t_mid[-1]), data,
-                  method="DOP853", rtol=RTOL, atol=atol, t_eval=t_mid).y
-        for data in ([1.0, 0.0], [0.0, 1.0])
-    )
+    vp, vm, dvp, dvm = solve_ivp(lambda tt, y: np.concatenate([y[2:], -V(tt) * y[:2]]),
+                                 (t_mid[0], t_mid[-1]), [1.0, 0.0, 0.0, 1.0],
+                                 method="DOP853", rtol=RTOL, atol=atol, t_eval=t_mid).y
     resid = _fd_residual(curve, trace, f_grid, psi)
     return JacobiSolution(
         s=s,

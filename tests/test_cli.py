@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjlab.cli import OPTIONS, ConfigError, RunConfig, configure, main
-from cjlab.io import fmt10
+from cjlab.io import fmt10, write_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,6 +27,39 @@ class TestFmt:
         assert fmt10(1e-5) == "1e-05"
         assert fmt10(3) == "3"
         assert fmt10(True) == "true"
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1.8e308,
+               1e-5, 1.2345678901234, -3.0, 1e16, 123456789012.0]
+
+
+class TestWriteCsv:
+    """write_csv against a per-cell rendering: format(x, ".10g") for floating
+    columns, fmt10 for the others."""
+
+    @staticmethod
+    def oracle(header, columns):
+        cells = [[format(float(x), ".10g") for x in c] if np.issubdtype(c.dtype, np.floating)
+                 else [fmt10(x) for x in c] for c in columns]
+        return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)]).encode()
+
+    @pytest.mark.parametrize("columns", [
+        pytest.param([np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1])], id="float64-edges"),
+        pytest.param([np.array(EDGE_FLOATS, dtype=np.float32)], id="float32"),
+        pytest.param([np.arange(13) - 6, np.arange(13) % 3 == 0, np.array(EDGE_FLOATS)],
+                     id="int-bool-float"),
+        pytest.param([np.array([]), np.array([], dtype=int)], id="zero-rows"),
+        pytest.param([np.random.default_rng(8).standard_normal(500)
+                      * 10.0 ** np.random.default_rng(9).integers(-300, 300, 500)], id="random"),
+    ])
+    def test_bytes_match_per_cell_rendering(self, columns, tmp_path):
+        header = [f"c{i}" for i in range(len(columns))]
+        write_csv(tmp_path / "x.csv", header, columns)
+        assert (tmp_path / "x.csv").read_bytes() == self.oracle(header, columns)
+
+    def test_unequal_lengths_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="share a length"):
+            write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
 
 class TestSpectrumCommand:
@@ -379,7 +412,11 @@ class TestJacobiCommand:
         # the default near-origin window [10 eps, 100 eps] reaches s = 1
         pytest.param(["--m", "3", "--n", "3", "--eps", "0.02"], "near-origin fit",
                      id="eps0.02-near-origin fit"),
+        # zeta_0 / p leaves the float range; at 1e-8 p itself overflows
+        *(pytest.param(["--m", "2", "--n", "100", "--eps", eps, "--s-max", "50"], "left pair",
+                       id=f"n100-eps{eps}-left pair") for eps in ("1e-6", "1e-8")),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second line
     def test_coarse_grid_exits_4_naming_the_stage(self, argv, stage, tmp_path, capsys):
         assert main(["jacobi", *argv, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()

@@ -208,6 +208,33 @@ class TestSolveJacobi:
                 )
                 assert np.max(np.abs(resid)) <= 1e-4 * (1 + np.max(np.abs(psi)))
 
+    def test_middle_pair_matches_separate_solves(self, jacobi_solutions):
+        """The pair's columns, integrated together, match each column solved
+        as its own 2-state DOP853 IVP."""
+        from scipy.integrate import solve_ivp
+        from scipy.interpolate import CubicSpline
+
+        for _, _, sol in jacobi_solutions.values():
+            pair, sl = sol.middle_pair, slice(sol.ef.i0, sol.ef.i1 + 1)
+            V = CubicSpline(sol.t[sl], sol.ef.V[sl])
+            for data, u, du in (([1.0, 0.0], pair.u_plus, pair.du_plus),
+                                ([0.0, 1.0], pair.u_minus, pair.du_minus)):
+                ref = solve_ivp(lambda tt, y: [y[1], -V(tt) * y[0]], (pair.t[0], pair.t[-1]),
+                                data, method="DOP853", rtol=jacobi.RTOL, atol=sol.atol,
+                                t_eval=pair.t).y
+                for got, want in ((u, ref[0]), (du, ref[1])):
+                    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_one_ivp_for_the_middle_pair(self, short_curves, short_traces, monkeypatch):
+        import scipy.integrate
+
+        calls = []
+        solve_ivp = scipy.integrate.solve_ivp
+        monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                            lambda *a, **k: calls.append(len(a[2])) or solve_ivp(*a, **k))
+        solve_jacobi(short_curves[(2, 2)], short_traces[(2, 2)])
+        assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the pair
+
 
 @pytest.mark.parametrize("m", range(2, 11))
 @pytest.mark.parametrize("n", range(2, 11))
