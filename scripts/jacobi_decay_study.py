@@ -22,12 +22,12 @@ from cjlab import (
 from cjlab.jacobi import decay_diagnostics
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--m", type=int, default=3)
     ap.add_argument("--n", type=int, default=3)
     ap.add_argument("--s-max", type=float, default=2100.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     spec = ConeSpec(args.m, args.n)
     curve = integrate_profile(ShootingConfig(spec=spec, s_max=args.s_max,

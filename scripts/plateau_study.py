@@ -14,11 +14,11 @@ import numpy as np
 from cjlab import minimal_graph_residual, plateau_profile, plateau_zeta0
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--R", type=float, default=1.0)
     ap.add_argument("--r-max", type=float, default=2000.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     print(f"{'N':>3} {'alpha(R)':>12} {'flux residual':>14} {'zeta0 exp':>10} "
           f"{'coeff':>10} {'expected':>10}")

@@ -61,7 +61,6 @@ from cjlab.spectra import (
     indicial_data,
     link_eigenvalues,
     predicted_nu_bar,
-    regime_of,
 )
 
 EXIT_OK = 0
@@ -112,8 +111,8 @@ class RunConfig:
 def _parse_config_file(path: Path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -163,7 +162,7 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
             return RunConfig(command, v, spec=spec, spectral=indicial_data(
                 spec, link_eigenvalues(spec, v["count"])))
         shooting = ShootingConfig(spec=spec, epsilon=v["eps"], s_max=v["s_max"], rtol=v["tol"],
-                                  atol=v["tol"] * 1e-2, grid_step=v["grid_step"])
+                                  grid_step=v["grid_step"])
         if command == "jacobi" and not shooting.s_max > 1.0:
             raise ValueError("s_max must exceed 1 so that the curve covers s = 1")
         return RunConfig(command, v, shooting=shooting)
@@ -204,7 +203,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, t_start: float) -> int:
         "stable": data.stable,
         "j0": data.j0,
         "Lambda0_re": data.Lambda_re[0],
-        "predicted_nu_bar": predicted_nu_bar(spec, regime_of(spec)),
+        "predicted_nu_bar": predicted_nu_bar(spec),
     }
     _finish(out, cfg, t_start, [path], metrics)
     print(f"spectrum ({spec.m},{spec.n}): stable={data.stable} j0={data.j0} -> {path}")

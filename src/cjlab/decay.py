@@ -29,8 +29,6 @@ ENVELOPE_GUARD = 0.1
 #: is preferred over the raw fit.
 MIN_ENVELOPE_MAXIMA = 5
 
-DEFAULT_WINDOW = (1.0e2, 1.0e3)
-
 #: fewest nonzero samples a window must hold for :func:`fit_power_law`.
 MIN_FIT_SAMPLES = 20
 
@@ -55,13 +53,13 @@ class DecayFit:
         }
 
 
-def envelope_maxima(r: np.ndarray, y: np.ndarray, guard: float = ENVELOPE_GUARD) -> np.ndarray:
+def envelope_maxima(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Indices of strict local maxima of |y| dominating a log-r neighbourhood.
 
     A sample is kept when it is strictly larger than both neighbours and
-    is the largest sample within +-``guard`` in log r.  The guard keeps
-    one representative per genuine oscillation peak; clusters of
-    near-equal samples produced by roundoff collapse to their largest
+    is the largest sample within +-:data:`ENVELOPE_GUARD` in log r.  The
+    guard keeps one representative per genuine oscillation peak; clusters
+    of near-equal samples produced by roundoff collapse to their largest
     member.
     """
     ay = np.abs(y)
@@ -81,8 +79,8 @@ def envelope_maxima(r: np.ndarray, y: np.ndarray, guard: float = ENVELOPE_GUARD)
     logr = np.log(r)
     keep = []
     for i in strict:
-        lo = np.searchsorted(logr, logr[i] - guard)
-        hi = np.searchsorted(logr, logr[i] + guard, side="right")
+        lo = np.searchsorted(logr, logr[i] - ENVELOPE_GUARD)
+        hi = np.searchsorted(logr, logr[i] + ENVELOPE_GUARD, side="right")
         if ay[i] >= ay[lo:hi].max():
             keep.append(i)
     return np.asarray(keep, dtype=int)
@@ -99,12 +97,8 @@ def _lstsq_fit(logr: np.ndarray, logy: np.ndarray, with_log: bool) -> tuple[floa
     return float(coef[1]), log_coeff, rms
 
 
-def fit_power_law(
-    r: np.ndarray,
-    y: np.ndarray,
-    window: tuple[float, float] = DEFAULT_WINDOW,
-    with_log: bool = False,
-) -> DecayFit:
+def fit_power_law(r: np.ndarray, y: np.ndarray, window: tuple[float, float],
+                  with_log: bool = False) -> DecayFit:
     """Least-squares decay fit of |y(r)| over ``window``.
 
     The fit needs at least 20 nonzero samples inside the window.  When
@@ -182,7 +176,7 @@ _SWEEP = {"high_dim": (240.0, (50.0, 200.0)), "low_dim": (4.0e5, (5.0, 3.0e5))}
 
 
 def parse_sweep(text: str) -> list[ConeSpec]:
-    """Specs of a sweep list such as ``"2,2;3,3"``; ValueError if empty or malformed."""
+    """Specs of a sweep list such as ``"2,2;3,3"``; ValueError if empty, malformed or repeated."""
     specs = []
     for item in text.split(";"):
         item = item.strip()
@@ -193,13 +187,14 @@ def parse_sweep(text: str) -> list[ConeSpec]:
             specs.append(ConeSpec(int(m_str), int(n_str)))
         except (ValueError, TypeError) as exc:
             raise ValueError(f"bad sweep entry {item!r}: {exc}") from exc
+        if specs[-1] in specs[:-1]:
+            raise ValueError(f"sweep entry {item!r} repeats a spec")
     if not specs:
         raise ValueError("empty sweep list")
     return specs
 
 
-def sweep_config(spec: ConeSpec, eps: float = 1e-3, tol: float = 1e-12,
-                 grid_step: float = SWEEP_GRID_STEP) -> ShootingConfig:
+def sweep_config(spec: ConeSpec, eps: float, tol: float, grid_step: float) -> ShootingConfig:
     """The integration :func:`sweep_row` runs for ``spec`` (rtol <= 1e-13 at
     low dimension); ValueError if it leaves the fit window too few samples.
 
@@ -208,8 +203,7 @@ def sweep_config(spec: ConeSpec, eps: float = 1e-3, tol: float = 1e-12,
     regime = regime_of(spec)
     s_max, (lo, hi) = _SWEEP[regime]
     rtol = tol if regime == "high_dim" else min(tol, 1e-13)
-    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, rtol=rtol,
-                              atol=rtol * 1e-2, grid_step=grid_step)
+    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, rtol=rtol, grid_step=grid_step)
     if math.log(hi / lo) < MIN_FIT_SAMPLES * grid_step:
         raise ValueError(f"grid_step {grid_step} puts fewer than {MIN_FIT_SAMPLES} "
                          f"samples in the fit window [{lo:g}, {hi:g}]")
@@ -234,14 +228,14 @@ def sweep_row(shooting: ShootingConfig) -> tuple[dict, ProfileCurve, GeometryTra
     spectral = indicial_data(spec, link_eigenvalues(spec, 16))
     cls = classify_against_indicial(fit, spectral)
     mask = curve.s <= 1.0e3
-    short = ProfileCurve(spec=spec, start_axis=curve.start_axis, s=curve.s[mask],
-                         a=curve.a[mask], b=curve.b[mask], phi=curve.phi[mask])
+    short = ProfileCurve(spec=spec, s=curve.s[mask], a=curve.a[mask], b=curve.b[mask],
+                         phi=curve.phi[mask])
     row = {
         "m": spec.m,
         "n": spec.n,
         "N": spec.N,
         "stable": spectral.stable,
-        "predicted_nu_bar": predicted_nu_bar(spec, regime),
+        "predicted_nu_bar": predicted_nu_bar(spec),
         "fitted_exponent": fit.exponent,
         "oscillatory": fit.oscillatory,
         "nearest_root": cls["nearest_root"],

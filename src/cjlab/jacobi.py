@@ -99,37 +99,42 @@ class EmdenFowlerData:
     p: np.ndarray
     V: np.ndarray
     f_tilde: np.ndarray
-    t0: float
-    t1: float
+    i0: int  # grid indices of the breakpoints t0 and t1
+    i1: int
     A: np.ndarray = field(repr=False)
     zeta0: np.ndarray = field(repr=False)
     dzeta0_dt: np.ndarray = field(repr=False)
-    i0: int = field(repr=False, default=0)
-    i1: int = field(repr=False, default=0)
 
     @property
     def s(self) -> np.ndarray:
         return np.exp(self.t_grid)
 
+    @property
+    def t0(self) -> float:
+        return float(self.t_grid[self.i0])
+
+    @property
+    def t1(self) -> float:
+        return float(self.t_grid[self.i1])
+
 
 @dataclass(frozen=True)
 class FundamentalPair:
-    """Two homogeneous solutions with derivative samples on an interval."""
+    """Two homogeneous solutions with derivative samples on an interval,
+    normalised to Wronskian u_+ u_-' - u_+' u_- = 1."""
 
     t: np.ndarray
     u_plus: np.ndarray
     u_minus: np.ndarray
     du_plus: np.ndarray
     du_minus: np.ndarray
-    wronskian: float
 
     def wronskian_samples(self) -> np.ndarray:
         return self.u_plus * self.du_minus - self.du_plus * self.u_minus
 
     @property
     def wronskian_drift(self) -> float:
-        w = self.wronskian_samples()
-        return float(np.max(np.abs(w - self.wronskian)) / abs(self.wronskian))
+        return float(np.max(np.abs(self.wronskian_samples() - 1.0)))
 
 
 @dataclass
@@ -186,13 +191,11 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
         p=p,
         V=V,
         f_tilde=f_tilde,
-        t0=float(t[i0]),
-        t1=float(t[i1]),
+        i0=i0,
+        i1=i1,
         A=A,
         zeta0=trace.zeta0,
         dzeta0_dt=trace.dzeta0_dt,
-        i0=i0,
-        i1=i1,
     )
 
 
@@ -263,14 +266,8 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     I -= I[-1]
     u_minus = u_plus * I
     du_minus = du_plus * I + 1.0 / u_plus
-    return FundamentalPair(
-        t=t,
-        u_plus=u_plus,
-        u_minus=u_minus,
-        du_plus=du_plus,
-        du_minus=du_minus,
-        wronskian=1.0,
-    )
+    return FundamentalPair(t=t, u_plus=u_plus, u_minus=u_minus, du_plus=du_plus,
+                           du_minus=du_minus)
 
 
 def left_particular_vop(ef: EmdenFowlerData) -> np.ndarray:
@@ -287,7 +284,7 @@ def left_particular_vop(ef: EmdenFowlerData) -> np.ndarray:
     f_tilde = ef.f_tilde[: len(pair.t)]
     J_plus = _cumulative(pair.t, pair.u_plus * f_tilde)
     J_minus = _cumulative(pair.t, pair.u_minus * f_tilde)
-    return (pair.u_minus * J_plus - pair.u_plus * J_minus) / pair.wronskian
+    return pair.u_minus * J_plus - pair.u_plus * J_minus
 
 
 def solve_jacobi(
@@ -337,7 +334,7 @@ def solve_jacobi(
                 psi_t * (1.0 - ss * alpha) + ss * ss * (force - A2 * psi)]
 
     atol = 1e-14 * float(s[0]) ** 2
-    y0 = _series_start(spec, curve.start_axis, float(s[0])) + [0.0, 0.0]
+    y0 = _series_start(spec, float(s[0])) + [0.0, 0.0]
     ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
     if ivp.status != 0:
         raise IntegrationFailure(f"psi solve: {ivp.message}",
@@ -362,8 +359,7 @@ def solve_jacobi(
         residual=residual_sup(s, resid, 2.0 * s[0], min(500.0, s[-1] / 2.0)),
         ef=ef,
         left_pair=left,
-        middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp,
-                                    du_minus=dvm, wronskian=1.0),
+        middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp, du_minus=dvm),
         f=f_grid,
         state=ivp.y,
         atol=atol,
@@ -487,11 +483,10 @@ LOG_DETECT_IMPROVEMENT = 2.0
 LOG_DETECT_COEFF = 0.3
 
 
-def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec,
-                         window: tuple[float, float] | None = None) -> NearOriginFit:
+def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec) -> NearOriginFit:
     """Fitted exponent of psi as s -> 0+, with a log-correction detector.
 
-    The default window [10 eps, 100 eps] stays above the zone polluted
+    The window [10 eps, 100 eps] stays above the zone polluted
     by the zero-data truncation at s = eps.  The detector compares a
     pure power fit against one with a log(log) term: a log correction is
     flagged when the extra term cuts the rms by
@@ -501,9 +496,7 @@ def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec,
     reported exponent comes from the with-log fit, matching the expected
     s^2 |log s| near-axis envelope.
     """
-    if window is None:
-        window = (10.0 * sol.s[0], 100.0 * sol.s[0])
-    lo, hi = window
+    lo, hi = 10.0 * sol.s[0], 100.0 * sol.s[0]
     if hi >= 1.0:
         raise DiagnosticError(f"near-origin fit: window [{lo:.3g}, {hi:.3g}] must stay "
                               "below s = 1; lower epsilon")

@@ -119,16 +119,11 @@ def minimal_graph_residual(graph: RadialGraph) -> float:
     return float(np.max(graph.flux_residual))
 
 
-def plateau_zeta0(graph: RadialGraph, fit_window: tuple[float, float] | None = None
-                  ) -> tuple[np.ndarray, DecayFit]:
+def plateau_zeta0(graph: RadialGraph) -> tuple[np.ndarray, DecayFit]:
     """Dilation Jacobi field of the graph and its fitted decay exponent.
 
-    The fit window defaults to [100 R, 1000 R]; the fitted exponent
-    approximates 2 - N and the limit of r^{N-2} zeta_0 is
-    (N-1) R^{N-1} / (N-2).
+    The fit window is [100 R, 1000 R]; the fitted exponent approximates
+    2 - N and the limit of r^{N-2} zeta_0 is (N-1) R^{N-1} / (N-2).
     """
     zeta0 = (-graph.r * graph.dv + graph.v) / np.sqrt(1.0 + graph.dv**2)
-    if fit_window is None:
-        fit_window = (1.0e2 * graph.R, 1.0e3 * graph.R)
-    fit = fit_power_law(graph.r, zeta0, fit_window)
-    return zeta0, fit
+    return zeta0, fit_power_law(graph.r, zeta0, (1.0e2 * graph.R, 1.0e3 * graph.R))

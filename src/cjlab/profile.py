@@ -12,25 +12,26 @@ The principal curvatures are kappa_0 = phi' (the curve), kappa_a =
 sin(phi)/a with multiplicity m-1 and kappa_b = -cos(phi)/b with
 multiplicity n-1; their sum is the vanishing mean curvature, fixing the
 sign convention.  The normal is oriented so the dilation Jacobi field
-zeta_0 = a b' - a' b equals +1 at an axis_m start.
+zeta_0 = a b' - a' b equals +1 at the axis start.
 
 The axis is a regular singular point: the curve leaves (1, 0)
 orthogonally, and integration starts at s = epsilon from the series
 
     phi(eps) = pi/2 - (m-1) eps / n,
     a(eps)   = 1 + (m-1) eps^2 / (2n),
-    b(eps)   = eps,
+    b(eps)   = eps.
 
-(mirrored for an axis_n start).  The series is validated in the test
-suite against a tiny-epsilon integration started from the regularised
-limit phi'(0+) = -(m-1)/n.
+The series is validated in the test suite against a tiny-epsilon
+integration started from the regularised limit phi'(0+) = -(m-1)/n.
+The curve leaving (0, 1) instead is the (n, m) curve mirrored by
+(a, b, phi) -> (b, a, pi/2 - phi).  The integrator's relative tolerance
+is ``rtol`` (``cjl --tol``) and its absolute tolerance rtol / 100.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -51,8 +52,6 @@ __all__ = [
     "jacobi_field_rotation",
     "cone_crossings",
 ]
-
-StartAxis = Literal["axis_m", "axis_n"]
 
 #: Largest sample grid a :class:`ShootingConfig` accepts: about 7x the
 #: default Jacobi grid (145,576 samples, ~150 MB peak RSS for the run).
@@ -80,30 +79,32 @@ class ShootingConfig:
     """
 
     spec: ConeSpec
-    start_axis: StartAxis = "axis_m"
     epsilon: float = 1e-3
     s_max: float = 200.0
     rtol: float = 1e-12
-    atol: float = 1e-14
     grid_step: float = 1e-4
+
+    @property
+    def atol(self) -> float:
+        return self.rtol * 1e-2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.1:
             raise ValueError("epsilon must lie in (0, 0.1)")
         if max(self.spec.m, self.spec.n) > MAX_SHOOTING_DIMENSION:
             raise ValueError(f"m and n must not exceed {MAX_SHOOTING_DIMENSION}")
-        for name in ("s_max", "rtol", "atol", "grid_step"):
+        for name in ("s_max", "rtol", "grid_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not self.atol > 0:
+            raise ValueError(f"rtol {self.rtol} is so small that rtol / 100 underflows to 0")
         if self.s_max <= self.epsilon:
             raise ValueError("s_max must exceed epsilon")
         steps = math.log(self.s_max / self.epsilon) / self.grid_step  # integrate_profile's grid
         if steps > MAX_GRID_SAMPLES - 1:
             raise ValueError(f"grid of {steps + 1:.3g} samples exceeds "
                              f"MAX_GRID_SAMPLES = {MAX_GRID_SAMPLES}")
-        if self.start_axis not in ("axis_m", "axis_n"):
-            raise ValueError(f"unknown start_axis {self.start_axis!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,6 @@ class ProfileCurve:
     """Sampled profile curve on a log-uniform arc-length grid."""
 
     spec: ConeSpec
-    start_axis: StartAxis
     s: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -139,11 +139,9 @@ class GeometryTrace:
     dzeta0_dt: np.ndarray = field(repr=False, default=None)
 
 
-def _series_start(spec: ConeSpec, start_axis: StartAxis, eps: float) -> list[float]:
+def _series_start(spec: ConeSpec, eps: float) -> list[float]:
     m, n = spec.m, spec.n
-    if start_axis == "axis_m":
-        return [1.0 + (m - 1) * eps**2 / (2 * n), eps, math.pi / 2 - (m - 1) * eps / n]
-    return [eps, 1.0 + (n - 1) * eps**2 / (2 * m), (n - 1) * eps / m]
+    return [1.0 + (m - 1) * eps**2 / (2 * n), eps, math.pi / 2 - (m - 1) * eps / n]
 
 
 def _rhs(s: float, y: np.ndarray, m: int, n: int):
@@ -164,7 +162,7 @@ def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     from scipy.integrate import solve_ivp
 
     m, n = cfg.spec.m, cfg.spec.n
-    y0 = _series_start(cfg.spec, cfg.start_axis, cfg.epsilon)
+    y0 = _series_start(cfg.spec, cfg.epsilon)
 
     def hit_axis(s, y, *_args):
         return min(y[0], y[1])
@@ -201,7 +199,6 @@ def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
                                  last_s=float(s[max(outside[0] - 1, 0)]))
     return ProfileCurve(
         spec=cfg.spec,
-        start_axis=cfg.start_axis,
         s=s,
         a=a,
         b=b,
@@ -216,7 +213,6 @@ def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:
     phi_star = spec.cone_angle
     return ProfileCurve(
         spec=spec,
-        start_axis="axis_m",
         s=s,
         a=s * math.cos(phi_star),
         b=s * math.sin(phi_star),

@@ -208,14 +208,13 @@ def _Lambda0(spec: ConeSpec) -> float:
     return math.sqrt(disc)
 
 
-def predicted_nu_bar(spec: ConeSpec, regime: Regime) -> float:
+def predicted_nu_bar(spec: ConeSpec) -> float:
     """Predicted decay exponent of the dilation Jacobi field.
 
     ``high_dim`` (m+n >= 8, strictly stable cone): -(N-2)/2 + Lambda_0.
     ``low_dim``  (4 <= m+n <= 7, oscillatory cone): -(N-2)/2.
     """
-    _check_regime(spec, regime)
-    if regime == "high_dim":
+    if regime_of(spec) == "high_dim":
         return -(spec.N - 2) / 2 + _Lambda0(spec)
     return -(spec.N - 2) / 2
 
@@ -225,17 +224,7 @@ def regime_of(spec: ConeSpec) -> Regime:
     return "high_dim" if spec.m + spec.n >= 8 else "low_dim"
 
 
-def _check_regime(spec: ConeSpec, regime: Regime) -> None:
-    if regime not in ("high_dim", "low_dim"):
-        raise ValueError(f"unknown regime {regime!r}")
-    if regime != regime_of(spec):
-        raise ValueError(
-            f"regime {regime!r} inconsistent with m+n={spec.m + spec.n} "
-            f"(high_dim needs m+n>=8, low_dim needs 4<=m+n<=7)"
-        )
-
-
-def solvability_window(spec: ConeSpec, regime: Regime) -> SolvabilityWindow:
+def solvability_window(spec: ConeSpec) -> SolvabilityWindow:
     """Admissible decay exponents nu for solving J psi = tr(A^3).
 
     The window is (max(2-N-nu_bar, -(N-2)/2 - Lambda_0), -(N-2)/2 +
@@ -244,11 +233,10 @@ def solvability_window(spec: ConeSpec, regime: Regime) -> SolvabilityWindow:
     exponent -1 is admissible; for N = 4 the window is (-1, 0) with -1
     itself an excluded indicial root; for N = 3 it is (-1/2, 0).
     """
-    _check_regime(spec, regime)
     N = spec.N
-    nu_bar = predicted_nu_bar(spec, regime)
+    nu_bar = predicted_nu_bar(spec)
     hi = 0.0  # -(N-2)/2 + Lambda_1 with Lambda_1 = (N-2)/2
-    if regime == "high_dim":
+    if regime_of(spec) == "high_dim":
         lo = max(2 - N - nu_bar, -(N - 2) / 2 - _Lambda0(spec))
     else:
         lo = 2 - N - nu_bar  # equals -(N-2)/2 = nu_bar

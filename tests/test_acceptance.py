@@ -88,7 +88,7 @@ def test_c04_crossing_dichotomy(short_curves, long_curves):
     mask = curve22.s <= 1.0e3
     from cjlab.profile import ProfileCurve
 
-    clipped = ProfileCurve(spec=curve22.spec, start_axis=curve22.start_axis,
+    clipped = ProfileCurve(spec=curve22.spec,
                            s=curve22.s[mask], a=curve22.a[mask],
                            b=curve22.b[mask], phi=curve22.phi[mask])
     oscillatory = cone_crossings(clipped)

@@ -144,6 +144,13 @@ class TestConfigFile:
         assert main(["spectrum", "--config", str(cfg), "--m", "2", "--n", "2",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"m = 2\nn = 2 # \xff\n")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read config file")
+
 
 class TestBadInputsExit2:
     @pytest.mark.parametrize("argv", [
@@ -175,11 +182,14 @@ class TestBadInputsExit2:
         ["report", "--specs", "4,4", "--grid-step", "0.0694"],
         ["profile", "--m", "101", "--n", "2"],
         ["jacobi", "--m", "2", "--n", "1000000"],
+        ["report", "--specs", "2,2;2,2"],
+        ["jacobi", "--m", "2", "--n", "2", "--tol", "5e-324"],
     ])
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert "atol" not in err[0]  # no option sets it
 
     @pytest.mark.parametrize("argv", [
         ["plateau", "--count", "5"],
@@ -298,20 +308,35 @@ class TestInputChecking:
             assert main(argv) in (0, 2, 4)
             assert time.monotonic() - start < 20.0
 
-    @given(st.sampled_from(["profile", "jacobi"]), st.fixed_dictionaries({
-        "m": _TYPICAL["m"], "n": _TYPICAL["n"],
+    #: eps, tol and grid_step of the end-to-end runs; grid_step is bounded
+    #: below to keep each run short
+    SHOOTING = {
         "tol": st.one_of(_TYPICAL["tol"], _TYPICAL["tol"], _TYPICAL["tol"], _EXTREME[float]),
-        "s_max": st.floats(2.0, 300.0), "grid_step": st.floats(1e-3, 1.0),
-        "eps": st.floats(0.0, 0.1, exclude_min=True, exclude_max=True)}))
-    @settings(max_examples=40, deadline=None)
-    def test_profile_and_jacobi_runs_end_to_end(self, command, flags):
-        """Accepted profile and jacobi runs go through every stage; s_max and
-        grid_step are bounded to keep each run short."""
+        "grid_step": st.floats(1e-3, 1.0),
+        "eps": st.floats(0.0, 0.1, exclude_min=True, exclude_max=True)}
+
+    @staticmethod
+    def exits_0_2_or_4_within_20_s(command, flags):
         with tempfile.TemporaryDirectory() as tmp:
             argv = _argv(tmp, command, {k: _text(v) for k, v in flags.items()}, {})
             start = time.monotonic()
             assert main(argv) in (0, 2, 4)
             assert time.monotonic() - start < 20.0
+
+    @given(st.sampled_from(["profile", "jacobi"]), st.fixed_dictionaries({
+        "m": _TYPICAL["m"], "n": _TYPICAL["n"], "s_max": st.floats(2.0, 300.0), **SHOOTING}))
+    @settings(max_examples=40, deadline=None)
+    def test_profile_and_jacobi_runs_end_to_end(self, command, flags):
+        """Accepted profile and jacobi runs go through every stage."""
+        self.exits_0_2_or_4_within_20_s(command, flags)
+
+    @given(st.fixed_dictionaries({"specs": st.lists(
+        st.tuples(st.integers(2, 6), st.integers(2, 6)).map("{0[0]},{0[1]}".format),
+        min_size=1, max_size=2).map(";".join), **SHOOTING}))
+    @settings(max_examples=40, deadline=None)
+    def test_report_runs_end_to_end(self, flags):
+        """Accepted report draws integrate, fit and write every spec."""
+        self.exits_0_2_or_4_within_20_s("report", flags)
 
 
 class TestLibraryLayering:

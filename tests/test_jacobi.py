@@ -118,6 +118,7 @@ class TestLeftFundamentalPair:
         z = trace.zeta0
         first_zero = np.nonzero(np.sign(z[1:]) * np.sign(z[:-1]) < 0)[0][0]
         bad = dataclasses.replace(sol.ef, i0=first_zero + 8)
+        assert bad.t0 == sol.t[first_zero + 8]  # the breakpoint follows its index
         with pytest.raises(BreakpointError):
             left_fundamental_pair(bad)
 

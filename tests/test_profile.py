@@ -23,7 +23,7 @@ from cjlab.profile import MAX_GRID_SAMPLES, _series_start, arc_length_defect
 def tiny_start_oracle(m, n, start_axis, eps):
     """Independent series validation: integrate from s0 = 1e-8, where the
     regularised limit phi'(0+) = -(m-1)/n makes the series exact to
-    roundoff, and compare at s = eps."""
+    roundoff, and compare at s = eps.  ``axis_n`` starts from (0, 1)."""
     s0 = 1e-8
     if start_axis == "axis_m":
         y0 = [1.0, s0, np.pi / 2 - (m - 1) * s0 / n]
@@ -40,9 +40,15 @@ def tiny_start_oracle(m, n, start_axis, eps):
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 4)])
 @pytest.mark.parametrize("axis", ["axis_m", "axis_n"])
 def test_series_start_against_tiny_eps_oracle(m, n, axis):
+    """The curve leaving (0, 1) is the (n, m) curve mirrored by
+    (a, b, phi) -> (b, a, pi/2 - phi)."""
     eps = 1e-3
     oracle = tiny_start_oracle(m, n, axis, eps)
-    series = _series_start(ConeSpec(m, n), axis, eps)
+    if axis == "axis_m":
+        series = _series_start(ConeSpec(m, n), eps)
+    else:
+        a, b, phi = _series_start(ConeSpec(n, m), eps)
+        series = [b, a, np.pi / 2 - phi]
     # series truncation error is O(eps^3)
     assert series == pytest.approx(oracle, abs=5e-9)
 
@@ -55,15 +61,20 @@ class TestShootingConfig:
         with pytest.raises(ValueError):
             ShootingConfig(spec=spec, epsilon=1e-3, s_max=1e-4)
         with pytest.raises(ValueError):
-            ShootingConfig(spec=spec, start_axis="axis_q")
-        with pytest.raises(ValueError):
             ShootingConfig(spec=spec, grid_step=0.0)
 
-    @pytest.mark.parametrize("name", ["s_max", "rtol", "atol", "grid_step"])
+    @pytest.mark.parametrize("name", ["s_max", "rtol", "grid_step"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_step_controls_finite_and_positive(self, name, value):
         with pytest.raises(ValueError, match=name):
             ShootingConfig(spec=ConeSpec(2, 2), **{name: value})
+
+    def test_atol_is_rtol_over_100(self):
+        assert ShootingConfig(spec=ConeSpec(2, 2)).atol == 1e-14
+        assert ShootingConfig(spec=ConeSpec(2, 2), rtol=1e-13).atol == 1e-15
+        with pytest.raises(ValueError, match="rtol") as err:  # rtol / 100 underflows to 0
+            ShootingConfig(spec=ConeSpec(2, 2), rtol=2e-322)
+        assert "atol" not in str(err.value)
 
     def test_grid_sample_cap(self):
         # integrate_profile stores ceil(log(s_max/eps) / grid_step) + 1 samples
@@ -121,7 +132,7 @@ class TestIntegrateProfile:
         """A tolerance so loose that the dense output crosses an axis between
         accepted steps ends the run instead of handing on a curve with b < 0."""
         cfg = ShootingConfig(spec=ConeSpec(2, 9), epsilon=0.056, s_max=88.6, grid_step=0.597,
-                             rtol=3.5e261, atol=3.5e259)
+                             rtol=3.5e261)
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             integrate_profile(cfg)
         assert 0.056 <= err.value.last_s < 88.6
@@ -239,8 +250,7 @@ def _clip(curve, s_hi):
     from cjlab.profile import ProfileCurve
 
     mask = curve.s <= s_hi
-    return ProfileCurve(spec=curve.spec, start_axis=curve.start_axis,
-                        s=curve.s[mask], a=curve.a[mask], b=curve.b[mask],
+    return ProfileCurve(spec=curve.spec, s=curve.s[mask], a=curve.a[mask], b=curve.b[mask],
                         phi=curve.phi[mask])
 
 

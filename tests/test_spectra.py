@@ -178,15 +178,9 @@ def test_stability_boundary_brute_force():
 
 class TestPredictedNuBar:
     def test_values(self):
-        assert predicted_nu_bar(ConeSpec(4, 4), "high_dim") == pytest.approx(-2.0)
-        assert predicted_nu_bar(ConeSpec(2, 2), "low_dim") == pytest.approx(-0.5)
-        assert predicted_nu_bar(ConeSpec(3, 3), "low_dim") == pytest.approx(-1.5)
-
-    def test_regime_mismatch(self):
-        with pytest.raises(ValueError):
-            predicted_nu_bar(ConeSpec(4, 4), "low_dim")
-        with pytest.raises(ValueError):
-            predicted_nu_bar(ConeSpec(2, 2), "high_dim")
+        assert predicted_nu_bar(ConeSpec(4, 4)) == pytest.approx(-2.0)
+        assert predicted_nu_bar(ConeSpec(2, 2)) == pytest.approx(-0.5)
+        assert predicted_nu_bar(ConeSpec(3, 3)) == pytest.approx(-1.5)
 
     @given(spec_mn)
     def test_regime_of(self, mn):
@@ -195,22 +189,22 @@ class TestPredictedNuBar:
 
 class TestSolvabilityWindow:
     def test_high_dim_admits_minus_one(self):
-        win = solvability_window(ConeSpec(4, 4), "high_dim")
+        win = solvability_window(ConeSpec(4, 4))
         assert win.lo == pytest.approx(-3.0)
         assert win.hi == pytest.approx(0.0)
         assert win.contains(-1.0)
         assert -2.0 in win.excluded and not win.contains(-2.0)
 
     def test_n4_excludes_minus_one(self):
-        win = solvability_window(ConeSpec(2, 3), "low_dim")
+        win = solvability_window(ConeSpec(2, 3))
         assert (win.lo, win.hi) == pytest.approx((-1.0, 0.0))
         assert not win.contains(-1.0)
         assert win.contains(-0.5)
 
     def test_n3_window(self):
-        win = solvability_window(ConeSpec(2, 2), "low_dim")
+        win = solvability_window(ConeSpec(2, 2))
         assert (win.lo, win.hi) == pytest.approx((-0.5, 0.0))
         assert win.contains(-0.25)
 
     def test_n5_admits_minus_one(self):
-        assert solvability_window(ConeSpec(3, 3), "low_dim").contains(-1.0)
+        assert solvability_window(ConeSpec(3, 3)).contains(-1.0)
