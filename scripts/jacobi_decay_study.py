@@ -14,8 +14,6 @@ import numpy as np
 from cjlab import (
     ConeSpec,
     ShootingConfig,
-    geometry_trace,
-    integrate_profile,
     near_origin_behavior,
     solve_jacobi,
 )
@@ -30,10 +28,7 @@ def main(argv: list[str] | None = None) -> None:
     args = ap.parse_args(argv)
 
     spec = ConeSpec(args.m, args.n)
-    curve = integrate_profile(ShootingConfig(spec=spec, s_max=args.s_max,
-                                             grid_step=1e-4))
-    trace = geometry_trace(curve)
-    sol = solve_jacobi(curve, trace)
+    sol = solve_jacobi(ShootingConfig(spec=spec, s_max=args.s_max, grid_step=1e-4))
     report = decay_diagnostics(sol, spec)
 
     print(f"spec ({spec.m},{spec.n}), N = {spec.N}; weight: {report['weight']}")

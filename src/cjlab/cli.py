@@ -161,8 +161,9 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
         if command == "spectrum":
             return RunConfig(command, v, spec=spec, spectral=indicial_data(
                 spec, link_eigenvalues(spec, v["count"])))
-        shooting = ShootingConfig(spec=spec, epsilon=v["eps"], s_max=v["s_max"], rtol=v["tol"],
-                                  grid_step=v["grid_step"])
+        # jacobi reads no tol: both its IVPs run at jacobi.RTOL
+        shooting = ShootingConfig(spec=spec, epsilon=v["eps"], s_max=v["s_max"],
+                                  rtol=v.get("tol", ShootingConfig.rtol), grid_step=v["grid_step"])
         if command == "jacobi" and not shooting.s_max > 1.0:
             raise ValueError("s_max must exceed 1 so that the curve covers s = 1")
         return RunConfig(command, v, shooting=shooting)
@@ -251,12 +252,11 @@ def _cmd_profile(cfg: RunConfig, out: Path, t_start: float) -> int:
 
 
 def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
-    curve = integrate_profile(cfg.shooting)
-    trace = geometry_trace(curve)
-    sol = solve_jacobi(curve, trace)
-    report = decay_diagnostics(sol, curve.spec)
-    origin = near_origin_behavior(sol, curve.spec)
-    files = [_profile_csv(out, curve, trace)]
+    spec = cfg.shooting.spec
+    sol = solve_jacobi(cfg.shooting)
+    report = decay_diagnostics(sol, spec)
+    origin = near_origin_behavior(sol, spec)
+    files = [_profile_csv(out, sol.curve, sol.trace)]
 
     jac_path = out / "jacobi.csv"
     sl = _stride(len(sol.s))
@@ -294,7 +294,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
         "weighted_sups": report["sups"],
     }
     _finish(out, cfg, t_start, files, metrics)
-    print(f"jacobi ({curve.spec.m},{curve.spec.n}): residual={res:.3e} "
+    print(f"jacobi ({spec.m},{spec.n}): residual={res:.3e} "
           f"(target {target:.3e}) -> {jac_path}")
     if not res <= target:
         raise NumericalTargetMiss(f"residual {res:.3e} exceeds {target:.3e}")
@@ -377,7 +377,7 @@ OPTIONS = (
     Option("r_max", float, "outer radius (default 2000 R)", {"plateau": lambda v: 2.0e3 * v["R"]}),
     Option("s_max", float, "arc length to integrate to", {"profile": 200.0, "jacobi": 2100.0}),
     Option("eps", float, "series start offset", dict.fromkeys(_SHOOTING, 1e-3)),
-    Option("tol", float, "integrator relative tolerance", dict.fromkeys(_SHOOTING, 1e-12)),
+    Option("tol", float, "integrator relative tolerance", {"profile": 1e-12, "report": 1e-12}),
     Option("grid_step", float, "log-s sample spacing",
            {"profile": 1e-4, "jacobi": 1e-4, "report": SWEEP_GRID_STEP}),
     Option("count", int, "eigenvalue count", {"spectrum": 12}),

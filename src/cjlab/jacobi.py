@@ -7,7 +7,8 @@ For O(m)xO(n)-invariant data the Jacobi equation J psi = f reduces to
 with beta = |A|^2.  :func:`solve_jacobi` computes the solution growing
 from zero at the axis as one initial value problem in t = log s, which
 carries the profile (a, b, phi) along with (psi, psi_t), so alpha, beta
-and f are closed forms at every stage and no interpolant is built.
+and f are closed forms at every stage and no interpolant is built; its
+(a, b, phi) samples are the one curve that everything below is built on.
 
 The substitution s = e^t, psi = p(t) u(t) with
 
@@ -44,7 +45,9 @@ from cjlab.profile import (
     GeometryTrace,
     IntegrationFailure,
     ProfileCurve,
+    ShootingConfig,
     _rhs,
+    _sampled_curve,
     _series_start,
     curvature_terms,
     geometry_trace,
@@ -151,8 +154,9 @@ class JacobiSolution:
     left_pair: FundamentalPair
     middle_pair: FundamentalPair
     f: np.ndarray
-    #: (a, b, phi, psi, psi_t) of the initial value problem on the grid
-    state: np.ndarray = field(repr=False)
+    #: the profile (a, b, phi) integrated with psi, and its geometry
+    curve: ProfileCurve = field(repr=False)
+    trace: GeometryTrace = field(repr=False)
     atol: float
     nfev: int
 
@@ -287,20 +291,18 @@ def left_particular_vop(ef: EmdenFowlerData) -> np.ndarray:
     return pair.u_minus * J_plus - pair.u_plus * J_minus
 
 
-def solve_jacobi(
-    curve: ProfileCurve,
-    trace: GeometryTrace | None = None,
-    f: Callable | None = None,
-) -> JacobiSolution:
-    """Solve psi'' + alpha psi' + beta psi = f along the profile curve.
+def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSolution:
+    """Solve psi'' + alpha psi' + beta psi = f along the profile of ``cfg``.
 
     ``f(s, a, b, phi)`` gives the forcing at profile points and must accept
-    floats and arrays alike; it defaults to tr(A^3).  The curve must come
-    from :func:`integrate_profile`: the profile is integrated again, from
-    the same series start at s = epsilon, together with (psi, psi_t) from
+    floats and arrays alike; it defaults to tr(A^3).  The profile (a, b,
+    phi), from the series start at s = epsilon, and (psi, psi_t), from
     zero data there (the truncated stand-in for the solution decaying at
-    the axis), in one DOP853 run in t = log s with rtol :data:`RTOL` and
-    atol = 1e-14 epsilon^2 (psi grows like s^2 from the axis).  The
+    the axis), are one DOP853 run in t = log s on ``cfg.grid()`` with rtol
+    :data:`RTOL` (not ``cfg.rtol``) and atol = 1e-14 epsilon^2 (psi grows
+    like s^2 from the axis).  Its (a, b, phi) samples are the returned
+    ``curve``, whose :func:`geometry_trace` is ``trace``; a sample
+    outside the open quadrant raises :class:`IntegrationFailure`.  The
     residual is re-evaluated from the psi samples by centred finite
     differences in t with step close to :data:`RESIDUAL_FD_STEP`, and
     reported as a sup over s in [2 epsilon, min(500, s_max / 2)], beyond
@@ -312,13 +314,8 @@ def solve_jacobi(
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
 
-    spec = curve.spec
-    if trace is None:
-        trace = geometry_trace(curve)
-    s, t = curve.s, curve.t
-    f_grid = trace.trA3 if f is None else np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
-    ef = emden_fowler_transform(curve, trace, f_grid)
-
+    spec, s = cfg.spec, cfg.grid()
+    t = np.log(s)
     calls = itertools.count(1)
 
     def rhs(tt, y):
@@ -333,12 +330,16 @@ def solve_jacobi(
         return [ss * da, ss * db, ss * dphi, psi_t,
                 psi_t * (1.0 - ss * alpha) + ss * ss * (force - A2 * psi)]
 
-    atol = 1e-14 * float(s[0]) ** 2
-    y0 = _series_start(spec, float(s[0])) + [0.0, 0.0]
+    atol = 1e-14 * cfg.epsilon**2
+    y0 = _series_start(spec, cfg.epsilon) + [0.0, 0.0]
     ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
     if ivp.status != 0:
         raise IntegrationFailure(f"psi solve: {ivp.message}",
-                                 last_s=math.exp(ivp.t[-1]) if len(ivp.t) else float(s[0]))
+                                 last_s=math.exp(ivp.t[-1]) if len(ivp.t) else cfg.epsilon)
+    curve = _sampled_curve(spec, s, ivp.y[:3])
+    trace = geometry_trace(curve)
+    f_grid = trace.trA3 if f is None else np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
+    ef = emden_fowler_transform(curve, trace, f_grid)
     psi = ivp.y[3]
     # diagnostics only: the exact left pair, and the Wronskian drift of a
     # pair with unit-matrix data at t0 integrated across [t0, t1], both
@@ -361,7 +362,8 @@ def solve_jacobi(
         left_pair=left,
         middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp, du_minus=dvm),
         f=f_grid,
-        state=ivp.y,
+        curve=curve,
+        trace=trace,
         atol=atol,
         nfev=ivp.nfev,
     )

@@ -67,7 +67,8 @@ class RadialGraph:
     def flux_residual(self) -> np.ndarray:
         """Pointwise |r^{N-1} v'/sqrt(1+v'^2) + R^{N-1}| on the grid."""
         flux_const = self.flux_const  # OverflowError, before any overflowing array
-        flux = self.r ** (self.N - 1) * self.dv / np.sqrt(1.0 + self.dv**2)
+        with np.errstate(over="ignore", invalid="ignore"):  # a NaN misses the flux target
+            flux = self.r ** (self.N - 1) * self.dv / np.sqrt(1.0 + self.dv**2)
         return np.abs(flux + flux_const)
 
     @property

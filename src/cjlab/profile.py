@@ -97,14 +97,23 @@ class ShootingConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not self.atol > 0:
-            raise ValueError(f"rtol {self.rtol} is so small that rtol / 100 underflows to 0")
+        if self.rtol < 100 * np.finfo(float).eps:  # scipy would raise it to that, with a warning
+            raise ValueError(f"rtol must be at least {100 * np.finfo(float).eps:.3g}, got {self.rtol}")
         if self.s_max <= self.epsilon:
             raise ValueError("s_max must exceed epsilon")
-        steps = math.log(self.s_max / self.epsilon) / self.grid_step  # integrate_profile's grid
+        steps = math.log(self.s_max / self.epsilon) / self.grid_step  # see grid()
         if steps > MAX_GRID_SAMPLES - 1:
             raise ValueError(f"grid of {steps + 1:.3g} samples exceeds "
                              f"MAX_GRID_SAMPLES = {MAX_GRID_SAMPLES}")
+
+    def grid(self) -> np.ndarray:
+        """Sample arc lengths s = epsilon * exp(k h), k = 0..K, with the log
+        step h <= grid_step snapped so the grid hits s_max exactly."""
+        span = math.log(self.s_max / self.epsilon)
+        n_int = max(8, int(math.ceil(span / self.grid_step)))
+        s = np.exp(math.log(self.epsilon) + (span / n_int) * np.arange(n_int + 1))
+        s[0], s[-1] = self.epsilon, self.s_max
+        return s
 
 
 @dataclass(frozen=True)
@@ -134,9 +143,9 @@ class GeometryTrace:
     zeta0: np.ndarray
     Hres: np.ndarray
     # closed-form helpers consumed by the log-radial transform
-    dphi: np.ndarray = field(repr=False, default=None)
-    alpha_prime: np.ndarray = field(repr=False, default=None)
-    dzeta0_dt: np.ndarray = field(repr=False, default=None)
+    dphi: np.ndarray = field(repr=False)
+    alpha_prime: np.ndarray = field(repr=False)
+    dzeta0_dt: np.ndarray = field(repr=False)
 
 
 def _series_start(spec: ConeSpec, eps: float) -> list[float]:
@@ -150,11 +159,23 @@ def _rhs(s: float, y: np.ndarray, m: int, n: int):
             (n - 1) * math.cos(phi) / b - (m - 1) * math.sin(phi) / a]
 
 
+def _sampled_curve(spec: ConeSpec, s: np.ndarray, y: np.ndarray,
+                   accepted_steps: int = 0) -> ProfileCurve:
+    """The curve of integrator samples y = (a, b, phi) at s; raises
+    :class:`IntegrationFailure` if a sample leaves the open quadrant."""
+    a, b, phi = y
+    outside = np.nonzero(~((a > 0.0) & (b > 0.0)))[0]
+    if len(outside):  # a loose-tolerance dense output, or an IVP with no axis event, can cross
+        raise IntegrationFailure(f"profile samples for (m,n)=({spec.m},{spec.n}) leave the "
+                                 "open quadrant", last_s=float(s[max(outside[0] - 1, 0)]))
+    return ProfileCurve(spec=spec, s=s, a=a, b=b, phi=phi, accepted_steps=accepted_steps)
+
+
 def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     """Integrate the profile system from the axis series start.
 
-    Samples are stored on the log-uniform grid s = epsilon * exp(k*h)
-    via the integrator's dense output.  An interior collision with
+    Samples are stored on :meth:`ShootingConfig.grid` via the
+    integrator's dense output.  An interior collision with
     either axis stops the run and raises :class:`IntegrationFailure`
     carrying the last valid arc length.
     """
@@ -186,25 +207,8 @@ def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
             f"profile integration for (m,n)=({m},{n}) stopped at s={sol.t[-1]:.6g}",
             last_s=float(sol.t[-1]),
         )
-    # snap the log step so the grid hits s_max exactly and stays uniform
-    span = math.log(cfg.s_max / cfg.epsilon)
-    n_int = max(8, int(math.ceil(span / cfg.grid_step)))
-    t = math.log(cfg.epsilon) + (span / n_int) * np.arange(n_int + 1)
-    s = np.exp(t)
-    s[0], s[-1] = cfg.epsilon, cfg.s_max
-    a, b, phi = sol.sol(s)
-    outside = np.nonzero(~((a > 0.0) & (b > 0.0)))[0]
-    if len(outside):  # the dense output of a loose-tolerance run can cross an axis
-        raise IntegrationFailure(f"profile samples for (m,n)=({m},{n}) leave the open quadrant",
-                                 last_s=float(s[max(outside[0] - 1, 0)]))
-    return ProfileCurve(
-        spec=cfg.spec,
-        s=s,
-        a=a,
-        b=b,
-        phi=phi,
-        accepted_steps=len(sol.t),
-    )
+    s = cfg.grid()
+    return _sampled_curve(cfg.spec, s, sol.sol(s), accepted_steps=len(sol.t))
 
 
 def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:

@@ -21,13 +21,15 @@ CORE_SPECS = [(2, 2), (2, 3), (3, 3), (4, 4)]
 
 
 @pytest.fixture(scope="session")
-def short_curves():
-    """Profile curves on s in [1e-3, 200] at the fine grid step."""
-    out = {}
-    for m, n in CORE_SPECS:
-        cfg = ShootingConfig(spec=ConeSpec(m, n), s_max=200.0, grid_step=1e-4)
-        out[(m, n)] = integrate_profile(cfg)
-    return out
+def short_configs():
+    """Profile settings for s in [1e-3, 200] at the fine grid step."""
+    return {(m, n): ShootingConfig(spec=ConeSpec(m, n), s_max=200.0, grid_step=1e-4)
+            for m, n in CORE_SPECS}
+
+
+@pytest.fixture(scope="session")
+def short_curves(short_configs):
+    return {k: integrate_profile(cfg) for k, cfg in short_configs.items()}
 
 
 @pytest.fixture(scope="session")
@@ -36,14 +38,20 @@ def short_traces(short_curves):
 
 
 @pytest.fixture(scope="session")
-def jacobi_solutions():
-    """Full pipeline with f = tr(A^3) on s in [1e-3, 2100]."""
+def jacobi_configs():
+    """Profile settings for s in [1e-3, 2100] at the fine grid step."""
+    return {(m, n): ShootingConfig(spec=ConeSpec(m, n), s_max=2100.0, grid_step=1e-4)
+            for m, n in CORE_SPECS}
+
+
+@pytest.fixture(scope="session")
+def jacobi_solutions(jacobi_configs):
+    """Full pipeline with f = tr(A^3): (curve, trace, solution), the curve and
+    trace being the ones the solution was computed on."""
     out = {}
-    for m, n in CORE_SPECS:
-        cfg = ShootingConfig(spec=ConeSpec(m, n), s_max=2100.0, grid_step=1e-4)
-        curve = integrate_profile(cfg)
-        trace = geometry_trace(curve)
-        out[(m, n)] = (curve, trace, solve_jacobi(curve, trace))
+    for key, cfg in jacobi_configs.items():
+        sol = solve_jacobi(cfg)
+        out[key] = (sol.curve, sol.trace, sol)
     return out
 
 

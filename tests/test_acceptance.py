@@ -138,7 +138,7 @@ def test_c06_potential_limits(m, n, v_minus, v_plus, jacobi_solutions):
     assert abs(got_plus - v_plus) <= 1e-2
 
 
-def test_c07_jacobi_solve(jacobi_solutions):
+def test_c07_jacobi_solve(jacobi_configs, jacobi_solutions):
     details = []
     ok = True
     for (m, n), (curve, trace, sol) in sorted(jacobi_solutions.items()):
@@ -147,17 +147,17 @@ def test_c07_jacobi_solve(jacobi_solutions):
         drift = max(sol.left_pair.wronskian_drift, sol.middle_pair.wronskian_drift)
         ok &= res <= target and drift <= 1e-8
         details.append(f"({m},{n}) res={res:.1e}<= {target:.1e} drift={drift:.1e}")
-    curve, trace, _ = jacobi_solutions[(3, 3)]
+    cfg = jacobi_configs[(3, 3)]
 
     def f1(s, a, b, phi):
-        return curvature_terms(curve.spec, a, b, phi)[3]
+        return curvature_terms(cfg.spec, a, b, phi)[3]
 
     def f2(s, a, b, phi):
         return (1.0 + s**2) ** -2
 
-    s1 = solve_jacobi(curve, trace, f1)
-    s2 = solve_jacobi(curve, trace, f2)
-    s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x))
+    s1 = solve_jacobi(cfg, f1)
+    s2 = solve_jacobi(cfg, f2)
+    s12 = solve_jacobi(cfg, lambda *x: f1(*x) + f2(*x))
     super_rel = float(
         np.max(np.abs(s12.psi - s1.psi - s2.psi)) / np.max(np.abs(s12.psi))
     )

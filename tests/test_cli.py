@@ -183,8 +183,11 @@ class TestBadInputsExit2:
         ["profile", "--m", "101", "--n", "2"],
         ["jacobi", "--m", "2", "--n", "1000000"],
         ["report", "--specs", "2,2;2,2"],
-        ["jacobi", "--m", "2", "--n", "2", "--tol", "5e-324"],
+        ["profile", "--m", "2", "--n", "2", "--tol", "5e-324"],
+        ["profile", "--m", "2", "--n", "2", "--tol", "1e-300"],  # below scipy's rtol floor
+        ["report", "--specs", "2,2", "--tol", "1e-15"],
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     def test_one_line_error(self, argv, tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -196,6 +199,7 @@ class TestBadInputsExit2:
         ["spectrum", "--m", "2", "--n", "2", "--s-max", "5"],
         ["spectrum", "--m", "2", "--n", "2", "--specs", "9,9"],
         ["report", "--m", "2"],
+        ["jacobi", "--m", "2", "--n", "2", "--tol", "1e-12"],
     ])
     def test_flag_the_command_does_not_read_exits_2(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -207,7 +211,7 @@ class TestBadInputsExit2:
 READS = {
     "spectrum": {"m", "n", "count", "format", "out"},
     "profile": {"m", "n", "s_max", "eps", "tol", "grid_step", "out"},
-    "jacobi": {"m", "n", "s_max", "eps", "tol", "grid_step", "out"},
+    "jacobi": {"m", "n", "s_max", "eps", "grid_step", "out"},
     "plateau": {"N", "R", "r_max", "out"},
     "report": {"eps", "tol", "grid_step", "format", "specs", "out"},
 }
@@ -328,7 +332,8 @@ class TestInputChecking:
     @settings(max_examples=40, deadline=None)
     def test_profile_and_jacobi_runs_end_to_end(self, command, flags):
         """Accepted profile and jacobi runs go through every stage."""
-        self.exits_0_2_or_4_within_20_s(command, flags)
+        self.exits_0_2_or_4_within_20_s(command, {k: v for k, v in flags.items()
+                                                  if k in READS[command]})
 
     @given(st.fixed_dictionaries({"specs": st.lists(
         st.tuples(st.integers(2, 6), st.integers(2, 6)).map("{0[0]},{0[1]}".format),
@@ -447,6 +452,19 @@ class TestJacobiCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and stage in err[0]
 
+    def test_two_ivps_per_run(self, tmp_path, monkeypatch):
+        """The profile is integrated once, together with psi; profile.csv is
+        written from those samples."""
+        import scipy.integrate
+
+        calls = []
+        solve_ivp = scipy.integrate.solve_ivp
+        monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                            lambda *a, **k: calls.append(len(a[2])) or solve_ivp(*a, **k))
+        out = tmp_path / "o"
+        assert main(["jacobi", *M2N2, "--s-max", "200", "--out", str(out)]) == 0
+        assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the middle pair
+
     def test_profile_command(self, tmp_path):
         out = tmp_path / "o"
         code = main(["profile", "--m", "2", "--n", "2", "--s-max", "50",
@@ -467,6 +485,7 @@ class TestPlateauCommand:
         assert abs(metrics["zeta0_exponent"] - (-1.0)) < 0.02
 
     @pytest.mark.parametrize("N,R,code", [(3, 5e-310, 0), (140, 1.0, 4)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     def test_subnormal_fit_samples_run(self, N, R, code, tmp_path):
         # zeta_0 is subnormal but nonzero in the fit window; the fit still runs
         # (a NaN flux residual exits 4)

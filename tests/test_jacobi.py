@@ -134,26 +134,41 @@ class TestLeftFundamentalPair:
 
 
 class TestSolveJacobi:
-    def test_zero_forcing_gives_zero(self, jacobi_solutions):
-        curve, trace, _ = jacobi_solutions[(2, 2)]
-        sol = solve_jacobi(curve, trace, lambda s, a, b, phi: 0.0 * s)
+    def test_zero_forcing_gives_zero(self, jacobi_configs):
+        sol = solve_jacobi(jacobi_configs[(2, 2)], lambda s, a, b, phi: 0.0 * s)
         assert np.max(np.abs(sol.psi)) == 0.0
 
     def test_default_forcing_is_trA3(self, jacobi_solutions):
         for curve, trace, sol in jacobi_solutions.values():
             assert np.array_equal(sol.f, trace.trA3)
 
-    def test_evaluation_budget_ends_the_solve(self, short_curves, short_traces, monkeypatch):
+    def test_evaluation_budget_ends_the_solve(self, short_configs, monkeypatch):
         monkeypatch.setattr(jacobi, "MAX_PSI_NFEV", 100)
         with pytest.raises(IntegrationFailure, match="psi solve"):
-            solve_jacobi(short_curves[(2, 2)], short_traces[(2, 2)])
+            solve_jacobi(short_configs[(2, 2)])
 
-    def test_profile_integrated_with_psi_matches_curve(self, jacobi_solutions):
-        """The IVP carries (a, b, phi) along with psi; it retraces the stored
-        profile, which integrate_profile computed separately."""
-        for curve, _, sol in jacobi_solutions.values():
-            gap = np.abs(sol.state[:3] - np.array([curve.a, curve.b, curve.phi]))
+    def test_profile_integrated_with_psi_matches_curve(self, jacobi_configs, jacobi_solutions):
+        """The curve the IVP carries along with psi (in t, at jacobi.RTOL) retraces
+        the profile that integrate_profile computes on its own (in s, at cfg.rtol)."""
+        for key, cfg in jacobi_configs.items():
+            curve, sol = integrate_profile(cfg), jacobi_solutions[key][2]
+            assert np.array_equal(sol.curve.s, curve.s)
+            gap = np.abs(np.array([sol.curve.a - curve.a, sol.curve.b - curve.b,
+                                   sol.curve.phi - curve.phi]))
             assert np.max(gap) <= 1e-9
+
+    def test_curve_leaving_the_quadrant_raises(self, short_configs, monkeypatch):
+        """The psi IVP has no axis event; its samples are checked instead, so
+        a curve that crosses an axis never reaches geometry_trace."""
+        def doomed_rhs(s, y, m, n):
+            return [np.cos(y[2]), np.sin(y[2]), -3.0]  # curls b back into the axis
+
+        monkeypatch.setattr(jacobi, "_rhs", doomed_rhs)
+        # flat coefficients, so the IVP steps across the axis instead of stalling at it
+        monkeypatch.setattr(jacobi, "curvature_terms", lambda spec, a, b, phi: (0.0,) * 4)
+        with pytest.raises(IntegrationFailure, match="open quadrant") as err:
+            solve_jacobi(short_configs[(2, 2)])
+        assert 0 < err.value.last_s < 200.0
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 4)])
     def test_residual_target(self, m, n, jacobi_solutions):
@@ -172,18 +187,18 @@ class TestSolveJacobi:
                 d2 = np.abs(np.diff(window, 2))
                 assert d2.max() < 1e-5
 
-    def test_superposition(self, jacobi_solutions):
-        curve, trace, _ = jacobi_solutions[(3, 3)]
+    def test_superposition(self, jacobi_configs):
+        cfg = jacobi_configs[(3, 3)]
 
         def f1(s, a, b, phi):
-            return curvature_terms(curve.spec, a, b, phi)[3]
+            return curvature_terms(cfg.spec, a, b, phi)[3]
 
         def f2(s, a, b, phi):
             return (1.0 + s**2) ** -2
 
-        s1 = solve_jacobi(curve, trace, f1)
-        s2 = solve_jacobi(curve, trace, f2)
-        s12 = solve_jacobi(curve, trace, lambda *x: f1(*x) + f2(*x))
+        s1 = solve_jacobi(cfg, f1)
+        s2 = solve_jacobi(cfg, f2)
+        s12 = solve_jacobi(cfg, lambda *x: f1(*x) + f2(*x))
         err = np.max(np.abs(s12.psi - s1.psi - s2.psi))
         assert err <= 1e-8 * np.max(np.abs(s12.psi))
 
@@ -226,14 +241,14 @@ class TestSolveJacobi:
                 for got, want in ((u, ref[0]), (du, ref[1])):
                     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
-    def test_one_ivp_for_the_middle_pair(self, short_curves, short_traces, monkeypatch):
+    def test_one_ivp_for_the_middle_pair(self, short_configs, monkeypatch):
         import scipy.integrate
 
         calls = []
         solve_ivp = scipy.integrate.solve_ivp
         monkeypatch.setattr(scipy.integrate, "solve_ivp",
                             lambda *a, **k: calls.append(len(a[2])) or solve_ivp(*a, **k))
-        solve_jacobi(short_curves[(2, 2)], short_traces[(2, 2)])
+        solve_jacobi(short_configs[(2, 2)])
         assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the pair
 
 
@@ -243,7 +258,7 @@ def test_residual_target_on_the_envelope(m, n):
     """Every spec with m, n in [2, 10] meets the cjl jacobi residual target
     on s_max = 2100 at grid step 1e-3."""
     cfg = ShootingConfig(spec=ConeSpec(m, n), s_max=2100.0, grid_step=1e-3)
-    sol = solve_jacobi(integrate_profile(cfg))
+    sol = solve_jacobi(cfg)
     target = RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(sol.f)))
     assert sol.residual <= target
 
@@ -291,10 +306,10 @@ class TestDecayDiagnostics:
         curve, _, sol = jacobi_solutions[(3, 3)]
         assert decay_diagnostics(sol, curve.spec)["bounded_within_factor"] is True
 
-    def test_bounded_flag_is_null_without_ratios(self, short_curves, short_traces):
+    def test_bounded_flag_is_null_without_ratios(self, short_configs):
         """s_max = 200 holds no dyadic window, so there is no ratio to bound."""
-        curve, trace = short_curves[(3, 3)], short_traces[(3, 3)]
-        report = decay_diagnostics(solve_jacobi(curve, trace), curve.spec)
+        cfg = short_configs[(3, 3)]
+        report = decay_diagnostics(solve_jacobi(cfg), cfg.spec)
         assert report["windows"] == [] and report["ratios"] == []
         assert report["bounded_within_factor"] is None
 
