@@ -31,7 +31,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -155,15 +155,14 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
                                                   minimal_graph_residual(graph)))
         if command == "report":
             return RunConfig(command, v, sweep=tuple(
-                sweep_config(spec, v["eps"], v["tol"], v["grid_step"])
+                sweep_config(spec, v["eps"], v["grid_step"])
                 for spec in parse_sweep(v["specs"])))
         spec = ConeSpec(v["m"], v["n"])
         if command == "spectrum":
             return RunConfig(command, v, spec=spec, spectral=indicial_data(
                 spec, link_eigenvalues(spec, v["count"])))
-        # jacobi reads no tol: both its IVPs run at jacobi.RTOL
         shooting = ShootingConfig(spec=spec, epsilon=v["eps"], s_max=v["s_max"],
-                                  rtol=v.get("tol", ShootingConfig.rtol), grid_step=v["grid_step"])
+                                  grid_step=v["grid_step"])
         if command == "jacobi" and not shooting.s_max > 1.0:
             raise ValueError("s_max must exceed 1 so that the curve covers s = 1")
         return RunConfig(command, v, shooting=shooting)
@@ -189,7 +188,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, t_start: float) -> int:
     spec, data = cfg.spec, cfg.spectral
     if cfg.values["format"] == "json":
         path = out / "spectrum.json"
-        write_json(path, data.to_dict())
+        write_json(path, asdict(data))
     else:
         path = out / "spectrum.csv"
         j = np.arange(len(data.lambdas))
@@ -377,7 +376,6 @@ OPTIONS = (
     Option("r_max", float, "outer radius (default 2000 R)", {"plateau": lambda v: 2.0e3 * v["R"]}),
     Option("s_max", float, "arc length to integrate to", {"profile": 200.0, "jacobi": 2100.0}),
     Option("eps", float, "series start offset", dict.fromkeys(_SHOOTING, 1e-3)),
-    Option("tol", float, "integrator relative tolerance", {"profile": 1e-12, "report": 1e-12}),
     Option("grid_step", float, "log-s sample spacing",
            {"profile": 1e-4, "jacobi": 1e-4, "report": SWEEP_GRID_STEP}),
     Option("count", int, "eigenvalue count", {"spectrum": 12}),
@@ -418,12 +416,12 @@ def configure(argv: list[str] | None = None) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    t_start = time.monotonic()
     try:
         cfg = configure(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    t_start = time.monotonic()
     out = Path(cfg.values["out"])
     try:
         out.mkdir(parents=True, exist_ok=True)

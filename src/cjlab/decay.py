@@ -9,7 +9,7 @@ of the envelope rather than averaging through the zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,15 +42,6 @@ class DecayFit:
     window: tuple[float, float]
     residual_rms: float
     oscillatory: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "log_coeff": self.log_coeff,
-            "window": list(self.window),
-            "residual_rms": self.residual_rms,
-            "oscillatory": self.oscillatory,
-        }
 
 
 def envelope_maxima(r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -194,16 +185,14 @@ def parse_sweep(text: str) -> list[ConeSpec]:
     return specs
 
 
-def sweep_config(spec: ConeSpec, eps: float, tol: float, grid_step: float) -> ShootingConfig:
-    """The integration :func:`sweep_row` runs for ``spec`` (rtol <= 1e-13 at
-    low dimension); ValueError if it leaves the fit window too few samples.
+def sweep_config(spec: ConeSpec, eps: float, grid_step: float) -> ShootingConfig:
+    """The integration :func:`sweep_row` runs for ``spec``; ValueError if it
+    leaves the fit window too few samples.
 
     The profile grid's log-s spacing is at most ``grid_step`` and covers the
     window, so the window holds at least log(hi/lo) / grid_step samples."""
-    regime = regime_of(spec)
-    s_max, (lo, hi) = _SWEEP[regime]
-    rtol = tol if regime == "high_dim" else min(tol, 1e-13)
-    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, rtol=rtol, grid_step=grid_step)
+    s_max, (lo, hi) = _SWEEP[regime_of(spec)]
+    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, grid_step=grid_step)
     if math.log(hi / lo) < MIN_FIT_SAMPLES * grid_step:
         raise ValueError(f"grid_step {grid_step} puts fewer than {MIN_FIT_SAMPLES} "
                          f"samples in the fit window [{lo:g}, {hi:g}]")
@@ -216,9 +205,8 @@ def sweep_row(shooting: ShootingConfig) -> tuple[dict, ProfileCurve, GeometryTra
     Returns (row, curve, trace).  Stable specs are fitted raw on
     [50, 200]; oscillatory ones by their local-maxima envelope over
     (5, 3e5), the region where the signal sits above the integrator's
-    roundoff floor (~rtol * s in zeta_0 = a b' - a' b).  Five envelope
-    peaks fit in that window for every low-dimension spec at
-    rtol = 1e-13.
+    roundoff floor (~RTOL * s in zeta_0 = a b' - a' b).  Five envelope
+    peaks fit in that window for every low-dimension spec.
     """
     spec = shooting.spec
     regime = regime_of(spec)
@@ -241,6 +229,6 @@ def sweep_row(shooting: ShootingConfig) -> tuple[dict, ProfileCurve, GeometryTra
         "nearest_root": cls["nearest_root"],
         "gap": cls["gap"],
         "crossings": cone_crossings(short),
-        "fit": {**fit.to_dict(), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
+        "fit": {**asdict(fit), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
     }
     return row, curve, trace

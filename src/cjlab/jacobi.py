@@ -42,6 +42,7 @@ import numpy as np
 
 from cjlab.decay import _lstsq_fit
 from cjlab.profile import (
+    RTOL,
     GeometryTrace,
     IntegrationFailure,
     ProfileCurve,
@@ -73,9 +74,6 @@ __all__ = [
 
 #: |V - V(+inf)| threshold that places the right breakpoint t1.
 V_SETTLE_TOL = 1e-2
-
-#: relative tolerance of every solve_ivp call in this module.
-RTOL = 1e-13
 
 #: RHS evaluations after which the psi solve gives up (30x the most a default
 #: run takes): near-axis curvature noise can keep DOP853 refining without end.
@@ -299,7 +297,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     phi), from the series start at s = epsilon, and (psi, psi_t), from
     zero data there (the truncated stand-in for the solution decaying at
     the axis), are one DOP853 run in t = log s on ``cfg.grid()`` with rtol
-    :data:`RTOL` (not ``cfg.rtol``) and atol = 1e-14 epsilon^2 (psi grows
+    :data:`cjlab.profile.RTOL` and atol = 1e-14 epsilon^2 (psi grows
     like s^2 from the axis).  Its (a, b, phi) samples are the returned
     ``curve``, whose :func:`geometry_trace` is ``trace``; a sample
     outside the open quadrant raises :class:`IntegrationFailure`.  The
@@ -332,7 +330,8 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
 
     atol = 1e-14 * cfg.epsilon**2
     y0 = _series_start(spec, cfg.epsilon) + [0.0, 0.0]
-    ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
+    with np.errstate(all="ignore"):  # a failed run raises below
+        ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
     if ivp.status != 0:
         raise IntegrationFailure(f"psi solve: {ivp.message}",
                                  last_s=math.exp(ivp.t[-1]) if len(ivp.t) else cfg.epsilon)
@@ -347,9 +346,10 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     left = left_fundamental_pair(ef)
     t_mid = t[ef.i0 : ef.i1 + 1]
     V = CubicSpline(t_mid, ef.V[ef.i0 : ef.i1 + 1])
-    vp, vm, dvp, dvm = solve_ivp(lambda tt, y: np.concatenate([y[2:], -V(tt) * y[:2]]),
-                                 (t_mid[0], t_mid[-1]), [1.0, 0.0, 0.0, 1.0],
-                                 method="DOP853", rtol=RTOL, atol=atol, t_eval=t_mid).y
+    with np.errstate(all="ignore"):  # a NaN drift shows it
+        vp, vm, dvp, dvm = solve_ivp(lambda tt, y: np.concatenate([y[2:], -V(tt) * y[:2]]),
+                                     (t_mid[0], t_mid[-1]), [1.0, 0.0, 0.0, 1.0],
+                                     method="DOP853", rtol=RTOL, atol=atol, t_eval=t_mid).y
     resid = _fd_residual(curve, trace, f_grid, psi)
     return JacobiSolution(
         s=s,

@@ -24,8 +24,8 @@ orthogonally, and integration starts at s = epsilon from the series
 The series is validated in the test suite against a tiny-epsilon
 integration started from the regularised limit phi'(0+) = -(m-1)/n.
 The curve leaving (0, 1) instead is the (n, m) curve mirrored by
-(a, b, phi) -> (b, a, pi/2 - phi).  The integrator's relative tolerance
-is ``rtol`` (``cjl --tol``) and its absolute tolerance rtol / 100.
+(a, b, phi) -> (b, a, pi/2 - phi).  Every profile integration runs at
+relative tolerance :data:`RTOL` and absolute tolerance RTOL / 100.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ MAX_GRID_SAMPLES = 1_000_000
 #: The profile's stiffness, and with it the integrator's step count, grows
 #: like max(m, n): about 1 s per 10,000 at the default settings.
 MAX_SHOOTING_DIMENSION = 100
+#: Relative tolerance of every ODE integration in the package; at 1e-12 the
+#: m = 2, n >= 8 profiles miss the 1e-7 H-residual target.
+RTOL = 1e-13
 
 
 class IntegrationFailure(RuntimeError):
@@ -71,7 +74,7 @@ class IntegrationFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Start conditions and step control for a profile integration.
+    """Start and sample grid of a profile integration (its tolerance is :data:`RTOL`).
 
     ``grid_step`` is the uniform spacing of the stored samples in
     log(s); the log-uniform grid is what the downstream transform and
@@ -81,24 +84,17 @@ class ShootingConfig:
     spec: ConeSpec
     epsilon: float = 1e-3
     s_max: float = 200.0
-    rtol: float = 1e-12
     grid_step: float = 1e-4
-
-    @property
-    def atol(self) -> float:
-        return self.rtol * 1e-2
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.1:
             raise ValueError("epsilon must lie in (0, 0.1)")
         if max(self.spec.m, self.spec.n) > MAX_SHOOTING_DIMENSION:
             raise ValueError(f"m and n must not exceed {MAX_SHOOTING_DIMENSION}")
-        for name in ("s_max", "rtol", "grid_step"):
+        for name in ("s_max", "grid_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.rtol < 100 * np.finfo(float).eps:  # scipy would raise it to that, with a warning
-            raise ValueError(f"rtol must be at least {100 * np.finfo(float).eps:.3g}, got {self.rtol}")
         if self.s_max <= self.epsilon:
             raise ValueError("s_max must exceed epsilon")
         steps = math.log(self.s_max / self.epsilon) / self.grid_step  # see grid()
@@ -191,17 +187,18 @@ def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     hit_axis.terminal = True
     hit_axis.direction = -1
 
-    sol = solve_ivp(
-        _rhs,
-        (cfg.epsilon, cfg.s_max),
-        y0,
-        args=(m, n),
-        method="DOP853",
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        dense_output=True,
-        events=hit_axis,
-    )
+    with np.errstate(all="ignore"):  # overflow ends the run or shows in Hres
+        sol = solve_ivp(
+            _rhs,
+            (cfg.epsilon, cfg.s_max),
+            y0,
+            args=(m, n),
+            method="DOP853",
+            rtol=RTOL,
+            atol=RTOL * 1e-2,
+            dense_output=True,
+            events=hit_axis,
+        )
     if sol.status < 0 or sol.t[-1] < cfg.s_max:
         raise IntegrationFailure(
             f"profile integration for (m,n)=({m},{n}) stopped at s={sol.t[-1]:.6g}",
@@ -268,14 +265,15 @@ def geometry_trace(curve: ProfileCurve) -> GeometryTrace:
     a, b, phi, s = curve.a, curve.b, curve.phi, curve.s
     if np.any(s <= 0.0) or np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("geometry trace requires samples with s, a, b > 0")
-    ap, bp = np.cos(phi), np.sin(phi)
-    dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, phi)
-    zeta0 = a * bp - ap * b
-    dphi_fd = _fd_derivative_log(curve.t, phi) / s
-    Hres = dphi_fd + (m - 1) * np.sin(phi) / a - (n - 1) * np.cos(phi) / b
-    app, bpp = -np.sin(phi) * dphi, np.cos(phi) * dphi
-    alpha_prime = (m - 1) * (app / a - (ap / a) ** 2) + (n - 1) * (bpp / b - (bp / b) ** 2)
-    dzeta0_dt = s * dphi * (a * ap + b * bp)
+    with np.errstate(all="ignore"):  # non-finite values show in Hres
+        ap, bp = np.cos(phi), np.sin(phi)
+        dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, phi)
+        zeta0 = a * bp - ap * b
+        dphi_fd = _fd_derivative_log(curve.t, phi) / s
+        Hres = dphi_fd + (m - 1) * np.sin(phi) / a - (n - 1) * np.cos(phi) / b
+        app, bpp = -np.sin(phi) * dphi, np.cos(phi) * dphi
+        alpha_prime = (m - 1) * (app / a - (ap / a) ** 2) + (n - 1) * (bpp / b - (bp / b) ** 2)
+        dzeta0_dt = s * dphi * (a * ap + b * bp)
     return GeometryTrace(
         alpha=alpha,
         A2=A2,

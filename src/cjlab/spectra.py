@@ -80,17 +80,6 @@ class SpectralData:
     j0: int
     stable: bool
 
-    def to_dict(self) -> dict:
-        """JSON-ready mapping with the canonical key names."""
-        return {
-            "lambdas": list(self.lambdas),
-            "Lambda_re": list(self.Lambda_re),
-            "Lambda_im": list(self.Lambda_im),
-            "indicial_roots": [list(pair) for pair in self.indicial_roots],
-            "j0": self.j0,
-            "stable": self.stable,
-        }
-
     def all_roots(self) -> list[float]:
         """Flattened, sorted, de-duplicated indicial root set."""
         roots = sorted({r for pair in self.indicial_roots for r in pair})

@@ -130,6 +130,7 @@ class TestConfigFile:
         (["plateau"], "count = 5\n"),
         (["spectrum", "--m", "2", "--n", "2"], "s_max = 5\n"),
         (["report"], "m = 2\n"),
+        (["profile", "--m", "2", "--n", "2"], "tol = 1e-12\n"),
     ])
     def test_key_the_command_does_not_read_exits_2(self, command, text, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -162,11 +163,8 @@ class TestBadInputsExit2:
         ["plateau", "--N", "3", "--R", "1", "--r-max", "nan"],
         ["plateau", "--N", "2", "--R", "1"],
         ["profile", "--m", "2", "--n", "2", "--s-max", "nan"],
-        ["profile", "--m", "2", "--n", "2", "--tol", "nan"],
-        ["profile", "--m", "2", "--n", "2", "--tol", "-1"],
         ["profile", "--m", "2", "--n", "2", "--grid-step", "nan"],
         ["report", "--specs", "2,2", "--eps", "0.5"],
-        ["report", "--specs", "2,2", "--tol", "nan"],
         ["report", "--specs", "4,4", "--grid-step", "0.5"],
         ["jacobi", "--m", "2", "--n", "2", "--s-max", "0.5"],
         ["plateau", "--N", "3", "--R", "1", "--r-max", "50"],
@@ -183,9 +181,6 @@ class TestBadInputsExit2:
         ["profile", "--m", "101", "--n", "2"],
         ["jacobi", "--m", "2", "--n", "1000000"],
         ["report", "--specs", "2,2;2,2"],
-        ["profile", "--m", "2", "--n", "2", "--tol", "5e-324"],
-        ["profile", "--m", "2", "--n", "2", "--tol", "1e-300"],  # below scipy's rtol floor
-        ["report", "--specs", "2,2", "--tol", "1e-15"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     def test_one_line_error(self, argv, tmp_path, capsys):
@@ -200,6 +195,13 @@ class TestBadInputsExit2:
         ["spectrum", "--m", "2", "--n", "2", "--specs", "9,9"],
         ["report", "--m", "2"],
         ["jacobi", "--m", "2", "--n", "2", "--tol", "1e-12"],
+        # every integration runs at profile.RTOL, so no command takes a tolerance
+        ["profile", "--m", "2", "--n", "2", "--tol", "nan"],
+        ["profile", "--m", "2", "--n", "2", "--tol", "-1"],
+        ["report", "--specs", "2,2", "--tol", "nan"],
+        ["profile", "--m", "2", "--n", "2", "--tol", "5e-324"],
+        ["profile", "--m", "2", "--n", "2", "--tol", "1e-300"],
+        ["report", "--specs", "2,2", "--tol", "1e-15"],
     ])
     def test_flag_the_command_does_not_read_exits_2(self, argv, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -210,10 +212,10 @@ class TestBadInputsExit2:
 #: The options each subcommand reads, besides --config and --help.
 READS = {
     "spectrum": {"m", "n", "count", "format", "out"},
-    "profile": {"m", "n", "s_max", "eps", "tol", "grid_step", "out"},
+    "profile": {"m", "n", "s_max", "eps", "grid_step", "out"},
     "jacobi": {"m", "n", "s_max", "eps", "grid_step", "out"},
     "plateau": {"N", "R", "r_max", "out"},
-    "report": {"eps", "tol", "grid_step", "format", "specs", "out"},
+    "report": {"eps", "grid_step", "format", "specs", "out"},
 }
 
 
@@ -244,7 +246,7 @@ _TYPICAL = {
     "m": st.integers(2, 12), "n": st.integers(2, 12), "N": st.integers(3, 12),
     "count": st.integers(2, 64), "R": st.floats(0.1, 5.0), "r_max": st.floats(200.0, 1e4),
     "s_max": st.floats(2.0, 3000.0), "eps": st.floats(1e-4, 0.05),
-    "tol": st.floats(1e-13, 1e-8), "grid_step": st.floats(1e-4, 1e-2),
+    "grid_step": st.floats(1e-4, 1e-2),
     "specs": st.sampled_from(["2,2", "4,4;5,5", "3,3;2,3"]),
     "format": st.sampled_from(["csv", "json"]),
 }
@@ -312,10 +314,9 @@ class TestInputChecking:
             assert main(argv) in (0, 2, 4)
             assert time.monotonic() - start < 20.0
 
-    #: eps, tol and grid_step of the end-to-end runs; grid_step is bounded
+    #: eps and grid_step of the end-to-end runs; grid_step is bounded
     #: below to keep each run short
     SHOOTING = {
-        "tol": st.one_of(_TYPICAL["tol"], _TYPICAL["tol"], _TYPICAL["tol"], _EXTREME[float]),
         "grid_step": st.floats(1e-3, 1.0),
         "eps": st.floats(0.0, 0.1, exclude_min=True, exclude_max=True)}
 
@@ -465,6 +466,26 @@ class TestJacobiCommand:
         assert main(["jacobi", *M2N2, "--s-max", "200", "--out", str(out)]) == 0
         assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the middle pair
 
+    TINY_EPS = [*M2N2, "--eps", "1e-160", "--s-max", "10", "--grid-step", "0.1"]
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning is a second stderr line
+    def test_tiny_eps_profile_exits_4_with_one_line(self, tmp_path, capsys):
+        """At eps = 1e-160 the curvature overflows near the axis."""
+        assert main(["profile", *self.TINY_EPS, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical target missed: H-residual")
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_eps_jacobi_exits_4_with_one_line(self, tmp_path, capsys, monkeypatch):
+        """The psi atol 1e-14 eps^2 underflows to 0, and the solve spends its
+        whole budget on NaN; a small budget keeps the test short."""
+        import cjlab.jacobi
+
+        monkeypatch.setattr(cjlab.jacobi, "MAX_PSI_NFEV", 2000)
+        assert main(["jacobi", *self.TINY_EPS, "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("integration failure: psi solve: over 2000")
+
     def test_profile_command(self, tmp_path):
         out = tmp_path / "o"
         code = main(["profile", "--m", "2", "--n", "2", "--s-max", "50",
@@ -494,6 +515,18 @@ class TestPlateauCommand:
     def test_bad_geometry_exits_2(self, tmp_path):
         assert main(["plateau", "--N", "3", "--R", "5", "--r-max", "2",
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_wall_time_covers_the_input_check(self, tmp_path, monkeypatch):
+        """The plateau graph is built while the inputs are checked; the
+        manifest's wall time counts it."""
+        import cjlab.cli
+
+        plateau_profile = cjlab.cli.plateau_profile
+        monkeypatch.setattr(cjlab.cli, "plateau_profile",
+                            lambda *args: time.sleep(0.2) or plateau_profile(*args))
+        out = tmp_path / "o"
+        assert main(["plateau", "--N", "3", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["wall_time_s"] >= 0.2
 
 
 class TestReportCommand:

@@ -148,8 +148,8 @@ class TestSolveJacobi:
             solve_jacobi(short_configs[(2, 2)])
 
     def test_profile_integrated_with_psi_matches_curve(self, jacobi_configs, jacobi_solutions):
-        """The curve the IVP carries along with psi (in t, at jacobi.RTOL) retraces
-        the profile that integrate_profile computes on its own (in s, at cfg.rtol)."""
+        """The curve the IVP carries along with psi (in t) retraces the profile
+        that integrate_profile computes on its own (in s), both at profile.RTOL."""
         for key, cfg in jacobi_configs.items():
             curve, sol = integrate_profile(cfg), jacobi_solutions[key][2]
             assert np.array_equal(sol.curve.s, curve.s)

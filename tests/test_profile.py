@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,18 +64,19 @@ class TestShootingConfig:
         with pytest.raises(ValueError):
             ShootingConfig(spec=spec, grid_step=0.0)
 
-    @pytest.mark.parametrize("name", ["s_max", "rtol", "grid_step"])
+    @pytest.mark.parametrize("name", ["s_max", "grid_step"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_step_controls_finite_and_positive(self, name, value):
         with pytest.raises(ValueError, match=name):
             ShootingConfig(spec=ConeSpec(2, 2), **{name: value})
 
-    def test_atol_is_rtol_over_100(self):
-        assert ShootingConfig(spec=ConeSpec(2, 2)).atol == 1e-14
-        assert ShootingConfig(spec=ConeSpec(2, 2), rtol=1e-13).atol == 1e-15
-        with pytest.raises(ValueError, match="rtol") as err:  # rtol / 100 underflows to 0
-            ShootingConfig(spec=ConeSpec(2, 2), rtol=2e-322)
-        assert "atol" not in str(err.value)
+    def test_one_tolerance_for_the_package(self):
+        import cjlab.jacobi
+        import cjlab.profile
+
+        assert [f.name for f in dataclasses.fields(ShootingConfig)] == [
+            "spec", "epsilon", "s_max", "grid_step"]
+        assert cjlab.jacobi.RTOL is cjlab.profile.RTOL
 
     def test_grid_sample_cap(self):
         # integrate_profile stores ceil(log(s_max/eps) / grid_step) + 1 samples
@@ -106,6 +108,13 @@ class TestIntegrateProfile:
         # arc-length identity holds by construction
         assert np.max(np.abs(np.cos(curve.phi) ** 2 + np.sin(curve.phi) ** 2 - 1)) < 5e-16
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_h_residual_envelope_at_cli_defaults(self, n):
+        """m = 2 is the stiffest edge of m, n in [2, 10]; at rtol 1e-12 the
+        H-residual of n = 8, 9 and 10 exceeded the 1e-7 target."""
+        trace = geometry_trace(integrate_profile(ShootingConfig(spec=ConeSpec(2, n))))
+        assert np.max(np.abs(trace.Hres)) <= 1e-7
+
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 4)])
     def test_asymptotic_slope(self, m, n, short_curves):
         curve = short_curves[(m, n)]
@@ -128,11 +137,13 @@ class TestIntegrateProfile:
                                              grid_step=1e-3))
         assert 0 < err.value.last_s < 50.0
 
-    def test_samples_outside_the_quadrant_raise(self):
+    def test_samples_outside_the_quadrant_raise(self, monkeypatch):
         """A tolerance so loose that the dense output crosses an axis between
         accepted steps ends the run instead of handing on a curve with b < 0."""
-        cfg = ShootingConfig(spec=ConeSpec(2, 9), epsilon=0.056, s_max=88.6, grid_step=0.597,
-                             rtol=3.5e261)
+        import cjlab.profile as P
+
+        monkeypatch.setattr(P, "RTOL", 3.5e261)  # atol 3.5e259
+        cfg = ShootingConfig(spec=ConeSpec(2, 9), epsilon=0.056, s_max=88.6, grid_step=0.597)
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             integrate_profile(cfg)
         assert 0.056 <= err.value.last_s < 88.6

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,7 +159,7 @@ class TestIndicialData:
 
     def test_json_keys(self):
         spec = ConeSpec(3, 3)
-        payload = indicial_data(spec, link_eigenvalues(spec, 4)).to_dict()
+        payload = asdict(indicial_data(spec, link_eigenvalues(spec, 4)))
         assert set(payload) == {
             "lambdas", "Lambda_re", "Lambda_im", "indicial_roots", "j0", "stable",
         }
