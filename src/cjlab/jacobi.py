@@ -300,7 +300,9 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     :data:`cjlab.profile.RTOL` and atol = 1e-14 epsilon^2 (psi grows
     like s^2 from the axis).  Its (a, b, phi) samples are the returned
     ``curve``, whose :func:`geometry_trace` is ``trace``; a sample
-    outside the open quadrant raises :class:`IntegrationFailure`.  The
+    outside the open quadrant, a non-finite state handed to the
+    right-hand side or more than :data:`MAX_PSI_NFEV` evaluations raise
+    :class:`IntegrationFailure`.  The
     residual is re-evaluated from the psi samples by centred finite
     differences in t with step close to :data:`RESIDUAL_FD_STEP`, and
     reported as a sup over s in [2 epsilon, min(500, s_max / 2)], beyond
@@ -315,12 +317,17 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     spec, s = cfg.spec, cfg.grid()
     t = np.log(s)
     calls = itertools.count(1)
+    last_s = cfg.epsilon  # largest s at which rhs saw a finite state
 
     def rhs(tt, y):
+        nonlocal last_s
+        if not all(map(math.isfinite, y)):  # NaN would otherwise run out the budget
+            raise IntegrationFailure("psi solve: non-finite state", last_s=last_s)
         ss = math.exp(tt)
+        last_s = max(last_s, ss)
         if next(calls) > MAX_PSI_NFEV:
             raise IntegrationFailure(f"psi solve: over {MAX_PSI_NFEV} right-hand-side evaluations",
-                                     last_s=ss)
+                                     last_s=last_s)
         a, b, phi, psi, psi_t = y
         da, db, dphi = _rhs(ss, (a, b, phi), spec.m, spec.n)
         _, alpha, A2, trA3 = curvature_terms(spec, a, b, phi)

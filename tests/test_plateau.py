@@ -1,6 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cjlab import (
     alpha_of_R,
@@ -119,23 +120,44 @@ def betainc_oracle(N, R, r):
         return mp.mpf(R) / (N - 1) * mp.betainc(a, mp.mpf(1) / 2, 0, q2) / 2
 
 
+def assert_matches_oracle(N, R, r, v):
+    """v within 1e-12 of the oracle, where q = (R/r)^{N-1} is a float."""
+    q = (R / r) ** (N - 1)
+    if q == 0.0:  # q underflows: v is exactly 0
+        assert v == 0.0, (N, R, r)
+        return
+    # a subnormal q carries an absolute rounding error of one spacing
+    tol = 1e-12 + 2.0 * np.finfo(float).smallest_subnormal / q
+    assert abs(v / float(betainc_oracle(N, R, r)) - 1.0) <= tol, (N, R, r)
+
+
 class TestClosedFormOracle:
     # x = 1 - w, w = sqrt(1 - (R/r)^{2N-2}): short tails around x = 1e-6,
     # where a quadrature loses relative accuracy first
     SWITCH_X = (0.9e-6, 1.0e-6, 1.06e-6, 1.2e-6)
+    # q^2 on both sides of the series' branch point 1/2, and across (0, 1)
+    BRANCH_Q2 = ([0.5 * (1.0 + d) for d in (-1e-3, -1e-8, -1e-14, 1e-14, 1e-8, 1e-3)]
+                 + list(np.linspace(0.05, 0.95, 10)))
 
     @pytest.mark.parametrize("N", range(3, 13))
     @pytest.mark.parametrize("R", [0.5, 1.0, 2.75])
     def test_matches_mpmath_betainc(self, N, R):
+        # r -> R and q^2 -> 0 (2000^{-22} at N = 12) are the grid's ends
         graph = plateau_profile(N, R, 2.0e3 * R)
         samples = [(graph.r[i], graph.v[i]) for i in (0, len(graph.r) - 1)]
-        for x in self.SWITCH_X:
-            r_x = R * (x * (2.0 - x)) ** (-0.5 / (N - 1))
+        for q2 in [x * (2.0 - x) for x in self.SWITCH_X] + self.BRANCH_Q2:
+            r_x = R * q2 ** (-0.5 / (N - 1))
             # geomspace puts its last sample exactly at r_max
             samples.append((r_x, plateau_profile(N, R, r_x).v[-1]))
+        assert {((R / r) ** (N - 1)) ** 2 <= 0.5 for r, _ in samples} == {True, False}
         for r, v in samples:
-            want = betainc_oracle(N, R, r)
-            assert abs(v / float(want) - 1.0) <= 1e-12, (N, R, r)
+            assert_matches_oracle(N, R, r, v)
+
+    @given(st.integers(3, 140), st.floats(0.1, 10.0), st.integers(0, 1999))
+    @settings(max_examples=150, deadline=None)
+    def test_grid_points_match_oracle(self, N, R, i):
+        graph = plateau_profile(N, R, 2.0e3 * R)
+        assert_matches_oracle(N, R, graph.r[i], graph.v[i])
 
     @pytest.mark.parametrize("N", [3, 5, 12])
     def test_oracle_matches_tail_integral(self, N):
@@ -148,7 +170,7 @@ class TestClosedFormOracle:
             assert abs(betainc_oracle(N, R, r) / tail - 1) < mp.mpf(10) ** -25
 
     def test_alpha_is_the_boundary_value(self):
-        for N in (3, 7, 12):
+        for N in (3, 7, 12, 140):
             want = betainc_oracle(N, 1.0, 1.0)
             assert alpha_of_R(N, 1.0) == pytest.approx(float(want), rel=1e-14)
 
