@@ -23,7 +23,6 @@ from cjlab.profile import (
     integrate_profile,
     geometry_trace,
     cone_ray,
-    jacobi_field_dilation,
     jacobi_field_translation,
     jacobi_field_rotation,
     cone_crossings,
@@ -53,7 +52,6 @@ __all__ = [
     "integrate_profile",
     "geometry_trace",
     "cone_ray",
-    "jacobi_field_dilation",
     "jacobi_field_translation",
     "jacobi_field_rotation",
     "cone_crossings",

@@ -72,10 +72,6 @@ RESIDUAL_TARGET_FACTOR = 1e-6  # jacobi: residual <= factor * (1 + max|f|)
 FLUX_TARGET = 1e-10
 
 
-class NumericalTargetMiss(RuntimeError):
-    pass
-
-
 class ConfigError(ValueError):
     pass
 
@@ -172,19 +168,16 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
         raise ConfigError(f"{command}: a value leaves the float range: {exc}") from exc
 
 
-def _finish(out: Path, cfg: RunConfig, t_start: float, data_files: list[Path],
-            metrics: dict) -> None:
-    manifest = {
-        "config": {"command": cfg.command, **cfg.values},
-        "version": __version__,
-        "wall_time_s": time.monotonic() - t_start,
-        "checksums": file_checksums(data_files, out),
-        "metrics": metrics,
-    }
-    write_json(out / "manifest.json", manifest)
+class Outcome(NamedTuple):
+    """What a command leaves :func:`main` to finish its run with."""
+
+    files: list[Path]  # data files, for the manifest's checksums
+    metrics: dict
+    summary: str  # the stdout line
+    miss: str | None = None  # why the numerical target was missed
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path, t_start: float) -> int:
+def _cmd_spectrum(cfg: RunConfig, out: Path) -> Outcome:
     spec, data = cfg.spec, cfg.spectral
     if cfg.values["format"] == "json":
         path = out / "spectrum.json"
@@ -205,9 +198,8 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, t_start: float) -> int:
         "Lambda0_re": data.Lambda_re[0],
         "predicted_nu_bar": predicted_nu_bar(spec),
     }
-    _finish(out, cfg, t_start, [path], metrics)
-    print(f"spectrum ({spec.m},{spec.n}): stable={data.stable} j0={data.j0} -> {path}")
-    return EXIT_OK
+    return Outcome([path], metrics,
+                   f"spectrum ({spec.m},{spec.n}): stable={data.stable} j0={data.j0} -> {path}")
 
 
 #: CSV emission is decimated to at most this many rows (deterministic stride);
@@ -231,7 +223,8 @@ def _profile_csv(out: Path, curve, trace) -> Path:
     return path
 
 
-def _cmd_profile(cfg: RunConfig, out: Path, t_start: float) -> int:
+def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
+    spec = cfg.shooting.spec
     curve = integrate_profile(cfg.shooting)
     trace = geometry_trace(curve)
     files = [_profile_csv(out, curve, trace)]
@@ -243,14 +236,12 @@ def _cmd_profile(cfg: RunConfig, out: Path, t_start: float) -> int:
         "b_over_a_end": float(curve.b[-1] / curve.a[-1]),
         "accepted_steps": curve.accepted_steps,
     }
-    _finish(out, cfg, t_start, files, metrics)
-    print(f"profile ({curve.spec.m},{curve.spec.n}): Hres_sup={hres_sup:.3e} -> {files[0]}")
-    if not hres_sup <= 1e-7:
-        raise NumericalTargetMiss(f"H-residual {hres_sup:.3e} exceeds 1e-7")
-    return EXIT_OK
+    return Outcome(files, metrics,
+                   f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {files[0]}",
+                   None if hres_sup <= 1e-7 else f"H-residual {hres_sup:.3e} exceeds 1e-7")
 
 
-def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
+def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     spec = cfg.shooting.spec
     sol = solve_jacobi(cfg.shooting)
     report = decay_diagnostics(sol, spec)
@@ -292,15 +283,13 @@ def _cmd_jacobi(cfg: RunConfig, out: Path, t_start: float) -> int:
         "log_detected": origin.log_detected,
         "weighted_sups": report["sups"],
     }
-    _finish(out, cfg, t_start, files, metrics)
-    print(f"jacobi ({spec.m},{spec.n}): residual={res:.3e} "
-          f"(target {target:.3e}) -> {jac_path}")
-    if not res <= target:
-        raise NumericalTargetMiss(f"residual {res:.3e} exceeds {target:.3e}")
-    return EXIT_OK
+    return Outcome(files, metrics,
+                   f"jacobi ({spec.m},{spec.n}): residual={res:.3e} "
+                   f"(target {target:.3e}) -> {jac_path}",
+                   None if res <= target else f"residual {res:.3e} exceeds {target:.3e}")
 
 
-def _cmd_plateau(cfg: RunConfig, out: Path, t_start: float) -> int:
+def _cmd_plateau(cfg: RunConfig, out: Path) -> Outcome:
     N, R = cfg.values["N"], cfg.values["R"]
     graph, zeta0, fit, flux_res = cfg.plateau
     path = out / "plateau.csv"
@@ -313,25 +302,21 @@ def _cmd_plateau(cfg: RunConfig, out: Path, t_start: float) -> int:
         "expected_exponent": 2 - N,
         "decay_coeff": graph.decay_coeff,
     }
-    _finish(out, cfg, t_start, [path], metrics)
-    print(f"plateau N={N} R={R}: flux residual {flux_res:.2e}, "
-          f"zeta0 exponent {fit.exponent:.4f} -> {path}")
-    if not flux_res <= FLUX_TARGET:
-        raise NumericalTargetMiss(f"flux residual {flux_res:.3e} exceeds {FLUX_TARGET:.1e}")
-    return EXIT_OK
+    return Outcome([path], metrics,
+                   f"plateau N={N} R={R}: flux residual {flux_res:.2e}, "
+                   f"zeta0 exponent {fit.exponent:.4f} -> {path}",
+                   None if flux_res <= FLUX_TARGET
+                   else f"flux residual {flux_res:.3e} exceeds {FLUX_TARGET:.1e}")
 
 
-def report_row(shooting: ShootingConfig, out: Path) -> dict:
-    row, curve, trace = sweep_row(shooting)
-    spec = shooting.spec
-    sub = out / f"m{spec.m}n{spec.n}"
-    sub.mkdir(parents=True, exist_ok=True)
-    _profile_csv(sub, curve, trace)
-    return row
-
-
-def _cmd_report(cfg: RunConfig, out: Path, t_start: float) -> int:
-    rows = [report_row(shooting, out) for shooting in cfg.sweep]
+def _cmd_report(cfg: RunConfig, out: Path) -> Outcome:
+    rows, files = [], []
+    for shooting in cfg.sweep:
+        row, curve, trace = sweep_row(shooting)
+        sub = out / f"m{shooting.spec.m}n{shooting.spec.n}"
+        sub.mkdir(parents=True, exist_ok=True)
+        rows.append(row)
+        files.append(_profile_csv(sub, curve, trace))
     rows.sort(key=lambda r: (r["m"], r["n"]))
     if cfg.values["format"] == "json":
         path = out / "report.json"
@@ -341,12 +326,9 @@ def _cmd_report(cfg: RunConfig, out: Path, t_start: float) -> int:
         keys = ["m", "n", "N", "stable", "predicted_nu_bar", "fitted_exponent",
                 "oscillatory", "nearest_root", "gap", "crossings"]
         write_csv(path, keys, [np.array([row[k] for row in rows]) for k in keys])
-    files = [path] + [out / f"m{sh.spec.m}n{sh.spec.n}" / "profile.csv" for sh in cfg.sweep]
-    metrics = {"rows": len(rows), "max_gap": max(r["gap"] for r in rows)}
-    _finish(out, cfg, t_start, files, metrics)
-    print(f"report: {len(rows)} specs, max fitted-vs-indicial gap "
-          f"{metrics['max_gap']:.4f} -> {path}")
-    return EXIT_OK
+    max_gap = max(r["gap"] for r in rows)
+    return Outcome([path, *files], {"rows": len(rows), "max_gap": max_gap},
+                   f"report: {len(rows)} specs, max fitted-vs-indicial gap {max_gap:.4f} -> {path}")
 
 
 _COMMANDS = {
@@ -432,10 +414,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        return _COMMANDS[cfg.command](cfg, out, t_start)
-    except NumericalTargetMiss as exc:
-        print(f"numerical target missed: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        files, metrics, summary, miss = _COMMANDS[cfg.command](cfg, out)
+        write_json(out / "manifest.json", {
+            "config": {"command": cfg.command, **cfg.values},
+            "version": __version__,
+            "wall_time_s": time.monotonic() - t_start,
+            "checksums": file_checksums(files, out),
+            "metrics": metrics,
+        })
     except DiagnosticError as exc:
         print(f"diagnostic failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -445,6 +431,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    print(summary)
+    if miss is None:
+        return EXIT_OK
+    print(f"numerical target missed: {miss}", file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from cjlab.decay import _lstsq_fit
+from cjlab import decay
 from cjlab.profile import (
     RTOL,
     GeometryTrace,
@@ -61,7 +61,6 @@ __all__ = [
     "JacobiSolution",
     "NearOriginFit",
     "DiagnosticError",
-    "BreakpointError",
     "emden_fowler_transform",
     "left_fundamental_pair",
     "left_particular_vop",
@@ -86,10 +85,6 @@ RESIDUAL_FD_STEP = 7e-4
 
 class DiagnosticError(ValueError):
     """A diagnostic cannot be computed on this grid; the message names the stage."""
-
-
-class BreakpointError(DiagnosticError):
-    """zeta_0 changes sign inside the requested left interval."""
 
 
 @dataclass(frozen=True)
@@ -243,7 +238,7 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     (basing the integral at t_min would make the pair numerically
     parallel and the variation-of-parameters terms cancel
     catastrophically).  The Wronskian u_+ u_-' - u_+' u_- is exactly 1.
-    Raises :class:`BreakpointError` if zeta_0 changes sign on the
+    Raises :class:`DiagnosticError` if zeta_0 changes sign on the
     interval, in which case the caller must shrink t0.
     """
     k = ef.i0 + 1
@@ -252,7 +247,7 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
                               "refine the grid")
     z = ef.zeta0[:k]
     if np.any(z == 0.0) or (np.min(z) < 0.0 < np.max(z)):
-        raise BreakpointError(
+        raise DiagnosticError(
             "left pair: zeta_0 changes sign on (t_min, t0]; shrink t0 below the first zero"
         )
     t = ef.t_grid[:k]
@@ -460,9 +455,7 @@ def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec) -> dict:
     tail_mask = sol.s >= 100.0
     exponent = float("nan")
     if int(np.sum(tail_mask & (sol.psi != 0.0))) >= 20:
-        from cjlab.decay import fit_power_law
-
-        exponent = fit_power_law(sol.s, sol.psi, (100.0, float(sol.s[-1]))).exponent
+        exponent = decay.fit_power_law(sol.s, sol.psi, (100.0, float(sol.s[-1]))).exponent
     return {
         "weight": name,
         "windows": windows,
@@ -509,24 +502,20 @@ def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec) -> NearOriginFit:
     if hi >= 1.0:
         raise DiagnosticError(f"near-origin fit: window [{lo:.3g}, {hi:.3g}] must stay "
                               "below s = 1; lower epsilon")
-    mask = (sol.s >= lo) & (sol.s <= hi) & (sol.psi != 0.0)
-    if int(mask.sum()) < 20:
-        raise DiagnosticError(f"near-origin fit: {int(mask.sum())} nonzero samples in "
-                              f"[{lo:.3g}, {hi:.3g}], need >= 20; refine the grid")
-    logs = np.log(sol.s[mask])
-    logy = np.log(np.abs(sol.psi[mask]))
-    exp_plain, _, rms_plain = _lstsq_fit(logs, logy, with_log=False)
-    exp_log, log_coeff, rms_log = _lstsq_fit(logs, logy, with_log=True)
-    detected = bool(
-        rms_plain >= LOG_DETECT_IMPROVEMENT * rms_log and log_coeff > LOG_DETECT_COEFF
-    )
-    exponent = exp_log if spec.n == 2 else exp_plain
+    try:
+        plain = decay.fit_power_law(sol.s, sol.psi, (lo, hi))
+        with_log = decay.fit_power_law(sol.s, sol.psi, (lo, hi), with_log=True)
+    except ValueError as exc:
+        raise DiagnosticError(f"near-origin fit on [{lo:.3g}, {hi:.3g}]: {exc}; "
+                              "refine the grid") from exc
+    detected = bool(plain.residual_rms >= LOG_DETECT_IMPROVEMENT * with_log.residual_rms
+                    and with_log.log_coeff > LOG_DETECT_COEFF)
     return NearOriginFit(
-        exponent=float(exponent),
-        log_coeff=float(log_coeff),
+        exponent=with_log.exponent if spec.n == 2 else plain.exponent,
+        log_coeff=with_log.log_coeff,
         log_detected=detected,
-        exponent_plain=float(exp_plain),
-        rms_plain=float(rms_plain),
-        rms_log=float(rms_log),
+        exponent_plain=plain.exponent,
+        rms_plain=plain.residual_rms,
+        rms_log=with_log.residual_rms,
         window=(float(lo), float(hi)),
     )

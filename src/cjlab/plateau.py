@@ -127,7 +127,10 @@ def plateau_profile(N: int, R: float, r_max: float, num: int = 2000) -> RadialGr
     _check_NR(N, R)
     if not (np.isfinite(r_max) and r_max > R):
         raise ValueError("r_max must be finite and exceed R")
-    r = np.geomspace(R * (1.0 + 1e-7), r_max, num)
+    r0 = R * (1.0 + 1e-7)
+    if not r0 > R:  # R below about 2.5e-317, where the float spacing exceeds 1e-7 R
+        raise ValueError(f"R = {R} is too small: the first sample R (1 + 1e-7) rounds to R")
+    r = np.geomspace(r0, r_max, num)
     q = (R / r) ** (N - 1)
     dv = -q / np.sqrt(1.0 - q * q)
     return RadialGraph(N=N, R=float(R), r=r, v=_height(N, R, q), dv=dv,

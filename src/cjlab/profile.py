@@ -47,7 +47,6 @@ __all__ = [
     "curvature_terms",
     "arc_length_defect",
     "cone_ray",
-    "jacobi_field_dilation",
     "jacobi_field_translation",
     "jacobi_field_rotation",
     "cone_crossings",
@@ -292,11 +291,6 @@ def arc_length_defect(curve: ProfileCurve) -> np.ndarray:
     da = _fd_derivative_log(curve.t, curve.a) / curve.s
     db = _fd_derivative_log(curve.t, curve.b) / curve.s
     return np.abs(np.hypot(da, db) - 1.0)
-
-
-def jacobi_field_dilation(curve: ProfileCurve) -> np.ndarray:
-    """Dilation Jacobi field zeta_0(s) = a b' - a' b."""
-    return curve.a * np.sin(curve.phi) - np.cos(curve.phi) * curve.b
 
 
 def jacobi_field_translation(curve: ProfileCurve) -> tuple[np.ndarray, np.ndarray]:

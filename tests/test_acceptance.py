@@ -22,7 +22,6 @@ from cjlab import (
     geometry_trace,
     indicial_data,
     integrate_profile,
-    jacobi_field_dilation,
     link_eigenvalues,
     minimal_graph_residual,
     near_origin_behavior,
@@ -106,9 +105,9 @@ def test_c04_crossing_dichotomy(short_curves, long_curves):
 
 def test_c05_zeta0_decay(long_curves):
     curve44 = long_curves[(4, 4)]
-    fit44 = fit_power_law(curve44.s, jacobi_field_dilation(curve44), (50.0, 200.0))
+    fit44 = fit_power_law(curve44.s, geometry_trace(curve44).zeta0, (50.0, 200.0))
     curve22 = long_curves[(2, 2)]
-    fit22 = fit_power_law(curve22.s, jacobi_field_dilation(curve22), (1.0e2, 2.5e7))
+    fit22 = fit_power_law(curve22.s, geometry_trace(curve22).zeta0, (1.0e2, 2.5e7))
     ok = abs(fit44.exponent + 2.0) <= 0.05 and abs(fit22.exponent + 0.5) <= 0.05
     log_criterion(
         5, ok,

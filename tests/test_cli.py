@@ -181,6 +181,7 @@ class TestBadInputsExit2:
         ["profile", "--m", "101", "--n", "2"],
         ["jacobi", "--m", "2", "--n", "1000000"],
         ["report", "--specs", "2,2;2,2"],
+        ["plateau", "--N", "3", "--R", "5e-320"],
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     def test_one_line_error(self, argv, tmp_path, capsys):
@@ -471,9 +472,14 @@ class TestJacobiCommand:
     @pytest.mark.filterwarnings("error")  # a numpy warning is a second stderr line
     def test_tiny_eps_profile_exits_4_with_one_line(self, tmp_path, capsys):
         """At eps = 1e-160 the curvature overflows near the axis."""
-        assert main(["profile", *self.TINY_EPS, "--out", str(tmp_path / "o")]) == 4
+        out = tmp_path / "o"
+        assert main(["profile", *self.TINY_EPS, "--out", str(out)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical target missed: H-residual")
+        # a missed target still ends the run: the manifest covers the data file
+        checksums = json.loads((out / "manifest.json").read_text())["checksums"]
+        assert checksums == {"profile.csv": hashlib.sha256(
+            (out / "profile.csv").read_bytes()).hexdigest()}
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_eps_jacobi_exits_4_with_one_line(self, tmp_path, capsys):

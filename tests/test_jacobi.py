@@ -19,7 +19,7 @@ from cjlab import (
 from cjlab import jacobi
 from cjlab.cli import RESIDUAL_TARGET_FACTOR
 from cjlab.jacobi import (
-    BreakpointError,
+    DiagnosticError,
     decay_diagnostics,
     left_particular_vop,
     residual_sup,
@@ -119,7 +119,7 @@ class TestLeftFundamentalPair:
         first_zero = np.nonzero(np.sign(z[1:]) * np.sign(z[:-1]) < 0)[0][0]
         bad = dataclasses.replace(sol.ef, i0=first_zero + 8)
         assert bad.t0 == sol.t[first_zero + 8]  # the breakpoint follows its index
-        with pytest.raises(BreakpointError):
+        with pytest.raises(DiagnosticError, match="left pair: zeta_0 changes sign"):
             left_fundamental_pair(bad)
 
     def test_vop_form_matches_ivp_solution(self, jacobi_solutions):

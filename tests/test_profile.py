@@ -13,7 +13,6 @@ from cjlab import (
     cone_ray,
     geometry_trace,
     integrate_profile,
-    jacobi_field_dilation,
     jacobi_field_rotation,
     jacobi_field_translation,
 )
@@ -203,12 +202,12 @@ class TestGeometryTrace:
 class TestJacobiFields:
     def test_dilation_field_starts_at_one(self, short_curves):
         for curve in short_curves.values():
-            z = jacobi_field_dilation(curve)
+            z = geometry_trace(curve).zeta0
             assert z[0] == pytest.approx(1.0, abs=1e-4)
 
     def test_dilation_field_sign_dichotomy(self, short_curves):
-        z22 = jacobi_field_dilation(short_curves[(2, 2)])
-        z44 = jacobi_field_dilation(short_curves[(4, 4)])
+        z22 = geometry_trace(short_curves[(2, 2)]).zeta0
+        z44 = geometry_trace(short_curves[(4, 4)]).zeta0
         assert np.min(z44) > 0.0  # never vanishes on the stable side
         assert np.min(z22) < 0.0 < np.max(z22)
 
@@ -251,7 +250,7 @@ class TestConeCrossings:
         curve = _clip(long_curves[(2, 2)], 1.0e4)
         side = (curve.spec.n - 1) * curve.a**2 - (curve.spec.m - 1) * curve.b**2
         zeros_side = _sign_change_locations(curve.s, side)
-        zeros_z = _sign_change_locations(curve.s, jacobi_field_dilation(curve))
+        zeros_z = _sign_change_locations(curve.s, geometry_trace(curve).zeta0)
         merged = sorted([(s, "c") for s in zeros_side] + [(s, "z") for s in zeros_z])
         kinds = "".join(k for _, k in merged)
         assert "cc" not in kinds and "zz" not in kinds  # strict interleaving
