@@ -28,6 +28,7 @@ error, 3 I/O error, 4 numerical target miss.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -37,8 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from cjlab import __version__
-from cjlab.decay import DEFAULT_SWEEP, SWEEP_GRID_STEP, parse_sweep, sweep_config, sweep_row
+from cjlab import __version__, decay
 from cjlab.io import file_checksums, write_csv, write_json
 from cjlab.jacobi import (
     DiagnosticError,
@@ -47,7 +47,9 @@ from cjlab.jacobi import (
     solve_jacobi,
 )
 from cjlab.profile import (
+    GeometryTrace,
     IntegrationFailure,
+    ProfileCurve,
     ShootingConfig,
     arc_length_defect,
     cone_crossings,
@@ -61,6 +63,7 @@ from cjlab.spectra import (
     indicial_data,
     link_eigenvalues,
     predicted_nu_bar,
+    regime_of,
 )
 
 EXIT_OK = 0
@@ -70,6 +73,19 @@ EXIT_NUMERIC = 4
 
 RESIDUAL_TARGET_FACTOR = 1e-6  # jacobi: residual <= factor * (1 + max|f|)
 FLUX_TARGET = 1e-10
+
+#: the report's default --specs: the four core specs
+DEFAULT_SWEEP = "2,2;2,3;3,3;4,4"
+
+#: log-s sample spacing of the sweep's profile grids
+SWEEP_GRID_STEP = 1e-3
+
+#: regime -> (s_max, fit window) of the sweep.  Stable specs are fitted raw
+#: on [50, 200]; oscillatory ones by their local-maxima envelope over
+#: (5, 3e5), the region where the signal sits above the integrator's
+#: roundoff floor (~RTOL * s in zeta_0 = a b' - a' b).  Five envelope peaks
+#: fit in that window for every low-dimension spec.
+_SWEEP = {"high_dim": (240.0, (50.0, 200.0)), "low_dim": (4.0e5, (5.0, 3.0e5))}
 
 
 class ConfigError(ValueError):
@@ -119,6 +135,39 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         values[key.replace("-", "_")] = value
     return values
+
+
+def parse_sweep(text: str) -> list[ConeSpec]:
+    """Specs of a sweep list such as ``"2,2;3,3"``; ValueError if empty, malformed or repeated."""
+    specs = []
+    for item in text.split(";"):
+        item = item.strip()
+        if not item:
+            continue
+        try:
+            m_str, n_str = item.split(",")
+            specs.append(ConeSpec(int(m_str), int(n_str)))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"bad sweep entry {item!r}: {exc}") from exc
+        if specs[-1] in specs[:-1]:
+            raise ValueError(f"sweep entry {item!r} repeats a spec")
+    if not specs:
+        raise ValueError("empty sweep list")
+    return specs
+
+
+def sweep_config(spec: ConeSpec, eps: float, grid_step: float) -> ShootingConfig:
+    """The integration the report runs for ``spec``; ValueError if it leaves
+    the fit window too few samples.
+
+    The profile grid's log-s spacing is at most ``grid_step`` and covers the
+    window, so the window holds at least log(hi/lo) / grid_step samples."""
+    s_max, (lo, hi) = _SWEEP[regime_of(spec)]
+    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, grid_step=grid_step)
+    if math.log(hi / lo) < decay.MIN_FIT_SAMPLES * grid_step:
+        raise ValueError(f"grid_step {grid_step} puts fewer than {decay.MIN_FIT_SAMPLES} "
+                         f"samples in the fit window [{lo:g}, {hi:g}]")
+    return shooting
 
 
 def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
@@ -223,11 +272,18 @@ def _profile_csv(out: Path, curve, trace) -> Path:
     return path
 
 
+def _traced_profile(shooting: ShootingConfig, out: Path) -> tuple:
+    """Integrate and trace ``shooting``'s profile and write its profile.csv
+    into ``out``; returns (curve, trace, path)."""
+    curve = integrate_profile(shooting)
+    trace = geometry_trace(curve)
+    out.mkdir(parents=True, exist_ok=True)
+    return curve, trace, _profile_csv(out, curve, trace)
+
+
 def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
     spec = cfg.shooting.spec
-    curve = integrate_profile(cfg.shooting)
-    trace = geometry_trace(curve)
-    files = [_profile_csv(out, curve, trace)]
+    curve, trace, path = _traced_profile(cfg.shooting, out)
     hres_sup = float(np.max(np.abs(trace.Hres)))
     metrics = {
         "H_residual_sup": hres_sup,
@@ -236,8 +292,8 @@ def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
         "b_over_a_end": float(curve.b[-1] / curve.a[-1]),
         "accepted_steps": curve.accepted_steps,
     }
-    return Outcome(files, metrics,
-                   f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {files[0]}",
+    return Outcome([path], metrics,
+                   f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {path}",
                    None if hres_sup <= 1e-7 else f"H-residual {hres_sup:.3e} exceeds 1e-7")
 
 
@@ -309,14 +365,37 @@ def _cmd_plateau(cfg: RunConfig, out: Path) -> Outcome:
                    else f"flux residual {flux_res:.3e} exceeds {FLUX_TARGET:.1e}")
 
 
+def sweep_row(curve: ProfileCurve, trace: GeometryTrace) -> dict:
+    """Fitted-versus-predicted decay summary of one :func:`sweep_config` run."""
+    spec = curve.spec
+    fit = decay.fit_power_law(curve.s, trace.zeta0, _SWEEP[regime_of(spec)][1])
+    spectral = indicial_data(spec, link_eigenvalues(spec, 16))
+    cls = decay.classify_against_indicial(fit, spectral)
+    mask = curve.s <= 1.0e3
+    short = ProfileCurve(spec=spec, s=curve.s[mask], a=curve.a[mask], b=curve.b[mask],
+                         phi=curve.phi[mask])
+    return {
+        "m": spec.m,
+        "n": spec.n,
+        "N": spec.N,
+        "stable": spectral.stable,
+        "predicted_nu_bar": predicted_nu_bar(spec),
+        "fitted_exponent": fit.exponent,
+        "oscillatory": fit.oscillatory,
+        "nearest_root": cls["nearest_root"],
+        "gap": cls["gap"],
+        "crossings": cone_crossings(short),
+        "fit": {**asdict(fit), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
+    }
+
+
 def _cmd_report(cfg: RunConfig, out: Path) -> Outcome:
     rows, files = [], []
     for shooting in cfg.sweep:
-        row, curve, trace = sweep_row(shooting)
-        sub = out / f"m{shooting.spec.m}n{shooting.spec.n}"
-        sub.mkdir(parents=True, exist_ok=True)
-        rows.append(row)
-        files.append(_profile_csv(sub, curve, trace))
+        spec = shooting.spec
+        curve, trace, path = _traced_profile(shooting, out / f"m{spec.m}n{spec.n}")
+        rows.append(sweep_row(curve, trace))
+        files.append(path)
     rows.sort(key=lambda r: (r["m"], r["n"]))
     if cfg.values["format"] == "json":
         path = out / "report.json"

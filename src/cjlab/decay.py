@@ -8,18 +8,13 @@ of the envelope rather than averaging through the zeros.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from cjlab.profile import (GeometryTrace, ProfileCurve, ShootingConfig, cone_crossings,
-                           geometry_trace, integrate_profile)
-from cjlab.spectra import (ConeSpec, SpectralData, indicial_data, link_eigenvalues,
-                           predicted_nu_bar, regime_of)
+from cjlab.spectra import SpectralData
 
-__all__ = ["DecayFit", "fit_power_law", "classify_against_indicial", "envelope_maxima",
-           "parse_sweep", "sweep_config", "sweep_row"]
+__all__ = ["DecayFit", "fit_power_law", "classify_against_indicial", "envelope_maxima"]
 
 #: window (in the same units as r) a local maximum must dominate in log r
 #: before it counts as an envelope point; rejects noise-induced maxima.
@@ -156,79 +151,3 @@ def classify_against_indicial(fit: DecayFit, spectral: SpectralData) -> dict:
         "nondegenerate_candidate": fit.exponent > 2.0 - N + NONDEGENERACY_MARGIN,
     }
 
-
-DEFAULT_SWEEP = "2,2;2,3;3,3;4,4"
-
-#: log-s sample spacing of the sweep's profile grids
-SWEEP_GRID_STEP = 1e-3
-
-#: regime -> (s_max, fit window) of the sweep
-_SWEEP = {"high_dim": (240.0, (50.0, 200.0)), "low_dim": (4.0e5, (5.0, 3.0e5))}
-
-
-def parse_sweep(text: str) -> list[ConeSpec]:
-    """Specs of a sweep list such as ``"2,2;3,3"``; ValueError if empty, malformed or repeated."""
-    specs = []
-    for item in text.split(";"):
-        item = item.strip()
-        if not item:
-            continue
-        try:
-            m_str, n_str = item.split(",")
-            specs.append(ConeSpec(int(m_str), int(n_str)))
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"bad sweep entry {item!r}: {exc}") from exc
-        if specs[-1] in specs[:-1]:
-            raise ValueError(f"sweep entry {item!r} repeats a spec")
-    if not specs:
-        raise ValueError("empty sweep list")
-    return specs
-
-
-def sweep_config(spec: ConeSpec, eps: float, grid_step: float) -> ShootingConfig:
-    """The integration :func:`sweep_row` runs for ``spec``; ValueError if it
-    leaves the fit window too few samples.
-
-    The profile grid's log-s spacing is at most ``grid_step`` and covers the
-    window, so the window holds at least log(hi/lo) / grid_step samples."""
-    s_max, (lo, hi) = _SWEEP[regime_of(spec)]
-    shooting = ShootingConfig(spec=spec, epsilon=eps, s_max=s_max, grid_step=grid_step)
-    if math.log(hi / lo) < MIN_FIT_SAMPLES * grid_step:
-        raise ValueError(f"grid_step {grid_step} puts fewer than {MIN_FIT_SAMPLES} "
-                         f"samples in the fit window [{lo:g}, {hi:g}]")
-    return shooting
-
-
-def sweep_row(shooting: ShootingConfig) -> tuple[dict, ProfileCurve, GeometryTrace]:
-    """Fitted-versus-predicted decay summary for one :func:`sweep_config` run.
-
-    Returns (row, curve, trace).  Stable specs are fitted raw on
-    [50, 200]; oscillatory ones by their local-maxima envelope over
-    (5, 3e5), the region where the signal sits above the integrator's
-    roundoff floor (~RTOL * s in zeta_0 = a b' - a' b).  Five envelope
-    peaks fit in that window for every low-dimension spec.
-    """
-    spec = shooting.spec
-    regime = regime_of(spec)
-    curve = integrate_profile(shooting)
-    trace = geometry_trace(curve)
-    fit = fit_power_law(curve.s, trace.zeta0, _SWEEP[regime][1])
-    spectral = indicial_data(spec, link_eigenvalues(spec, 16))
-    cls = classify_against_indicial(fit, spectral)
-    mask = curve.s <= 1.0e3
-    short = ProfileCurve(spec=spec, s=curve.s[mask], a=curve.a[mask], b=curve.b[mask],
-                         phi=curve.phi[mask])
-    row = {
-        "m": spec.m,
-        "n": spec.n,
-        "N": spec.N,
-        "stable": spectral.stable,
-        "predicted_nu_bar": predicted_nu_bar(spec),
-        "fitted_exponent": fit.exponent,
-        "oscillatory": fit.oscillatory,
-        "nearest_root": cls["nearest_root"],
-        "gap": cls["gap"],
-        "crossings": cone_crossings(short),
-        "fit": {**asdict(fit), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
-    }
-    return row, curve, trace

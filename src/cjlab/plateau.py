@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 
+#: samples of every :func:`plateau_profile` grid
+GRID_SAMPLES = 2000
+
 #: k in the term ratios t_{k+1}/t_k of the incomplete-beta series in
 #: :func:`_height`; with t_0 = 1 it sums 60 terms.
 _K = np.arange(59)
@@ -118,8 +121,9 @@ def alpha_of_R(N: int, R: float) -> float:
     return float(_height(N, R, 1.0))
 
 
-def plateau_profile(N: int, R: float, r_max: float, num: int = 2000) -> RadialGraph:
-    """Radial graph sampled on a log-uniform grid over (R, r_max].
+def plateau_profile(N: int, R: float, r_max: float) -> RadialGraph:
+    """Radial graph sampled on a log-uniform grid of :data:`GRID_SAMPLES`
+    points over (R, r_max].
 
     The grid starts at R (1 + 1e-7), close enough to the boundary to
     exhibit the v' -> -infinity blow-up.
@@ -130,7 +134,7 @@ def plateau_profile(N: int, R: float, r_max: float, num: int = 2000) -> RadialGr
     r0 = R * (1.0 + 1e-7)
     if not r0 > R:  # R below about 2.5e-317, where the float spacing exceeds 1e-7 R
         raise ValueError(f"R = {R} is too small: the first sample R (1 + 1e-7) rounds to R")
-    r = np.geomspace(r0, r_max, num)
+    r = np.geomspace(r0, r_max, GRID_SAMPLES)
     q = (R / r) ** (N - 1)
     dv = -q / np.sqrt(1.0 - q * q)
     return RadialGraph(N=N, R=float(R), r=r, v=_height(N, R, q), dv=dv,

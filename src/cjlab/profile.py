@@ -233,8 +233,14 @@ def curvature_terms(spec: ConeSpec, a, b, phi):
     kb = -ap / b
     alpha = (m - 1) * ap / a + (n - 1) * bp / b
     A2 = dphi**2 + (m - 1) * ka**2 + (n - 1) * kb**2
-    # x * x * x: on negative x, numpy's x**3 leaves its fast loop and is ~100x slower
-    trA3 = dphi * dphi * dphi + (m - 1) * (ka * ka * ka) + (n - 1) * (kb * kb * kb)
+    if m == n + 1:
+        # the direct sum cancels to O(u^2) near the axis, where u = ka + kb -> 0;
+        # with dphi = -n ka - (n-1) kb it factors exactly
+        u = ka + kb
+        trA3 = -n * (n - 1) * (u * u) * (3 * ka + (n - 2) * u)
+    else:
+        # x * x * x: on negative x, numpy's x**3 leaves its fast loop and is ~100x slower
+        trA3 = dphi * dphi * dphi + (m - 1) * (ka * ka * ka) + (n - 1) * (kb * kb * kb)
     return dphi, alpha, A2, trA3
 
 

@@ -218,7 +218,7 @@ def test_c10_plateau():
     far_err = 0.0
     zexp_err = 0.0
     for N in (3, 5):
-        graph = plateau_profile(N, 1.0, 2000.0, num=900)
+        graph = plateau_profile(N, 1.0, 2000.0)
         flux = max(flux, minimal_graph_residual(graph))
         i = np.searchsorted(graph.r, 1.0e3)
         far_err = max(

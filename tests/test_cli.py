@@ -346,23 +346,40 @@ class TestInputChecking:
         self.exits_0_2_or_4_within_20_s("report", flags)
 
 
+def imported_modules(path: Path) -> list[tuple[int, str]]:
+    """(line, dotted name) of every module and name ``path`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["cjlab" if node.level else "", node.module]))
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names]
+    return found
+
+
 class TestLibraryLayering:
-    def test_no_library_module_or_script_imports_the_cli(self):
-        files = sorted((ROOT / "src" / "cjlab").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-        offenders = []
-        for path in files:
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Import):
-                    names = [a.name for a in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    base = ".".join(filter(None, ["cjlab" if node.level else "", node.module]))
-                    names = [base] + [f"{base}.{a.name}" for a in node.names]
-                else:
-                    continue
-                if any(n == "cjlab.cli" or n.startswith("cjlab.cli.") for n in names):
-                    offenders.append(f"{path.name}:{node.lineno}")
+    LIBRARY = ROOT / "src" / "cjlab"
+
+    def test_no_library_module_imports_the_cli(self):
+        files = sorted(self.LIBRARY.glob("*.py"))
+        assert {path.stem for path in files} == {
+            "__init__", "cli", "decay", "io", "jacobi", "plateau", "profile", "spectra"}
+        offenders = [f"{path.name}:{line}" for path in files
+                     for line, name in imported_modules(path)
+                     if name == "cjlab.cli" or name.startswith("cjlab.cli.")]
         assert offenders == []
-        assert len(files) > 8
+
+    @pytest.mark.parametrize("module", ["decay", "plateau"])
+    def test_fitting_and_plateau_do_not_integrate(self, module):
+        """decay and plateau sit below the ODE layer: neither imports profile or jacobi."""
+        offenders = [f"{module}.py:{line} {name}"
+                     for line, name in imported_modules(self.LIBRARY / f"{module}.py")
+                     if name.split(".")[:2] in (["cjlab", "profile"], ["cjlab", "jacobi"])]
+        assert offenders == []
 
 
 def test_benchmark_sites_resolve():

@@ -263,6 +263,16 @@ def test_residual_target_on_the_envelope(m, n):
     assert sol.residual <= target
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_m_is_n_plus_1_below_the_default_eps(n):
+    """With tr A^3 free of near-axis cancellation, each m = n + 1 spec meets
+    its residual target at eps = 1e-5 far inside MAX_PSI_NFEV."""
+    cfg = ShootingConfig(spec=ConeSpec(n + 1, n), epsilon=1e-5, s_max=300.0, grid_step=1e-3)
+    sol = solve_jacobi(cfg)
+    assert sol.residual <= RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(sol.f)))
+    assert sol.nfev < 20_000
+
+
 class TestNearOrigin:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (4, 4)])
     def test_quadratic_exponent(self, m, n, jacobi_solutions):

@@ -52,41 +52,41 @@ class TestAlphaOfR:
 class TestPlateauProfile:
     @pytest.mark.parametrize("N,R", [(3, 1.0), (4, 0.5), (5, 1.0), (6, 2.0)])
     def test_flux_identity(self, N, R):
-        graph = plateau_profile(N, R, 2.0e3 * R, num=400)
+        graph = plateau_profile(N, R, 2.0e3 * R)
         assert minimal_graph_residual(graph) <= 1e-10
 
     def test_monotone_positive(self):
-        graph = plateau_profile(3, 1.0, 2000.0, num=400)
+        graph = plateau_profile(3, 1.0, 2000.0)
         assert np.all(graph.v > 0)
         assert np.all(graph.dv < 0)
         assert np.all(np.diff(graph.v) < 0)
 
     def test_gradient_blowup_at_boundary(self):
         for N in (3, 5):
-            graph = plateau_profile(N, 1.0, 10.0, num=50)
+            graph = plateau_profile(N, 1.0, 10.0)
             assert abs(graph.dv[0]) > 1e3  # r = R(1 + 1e-7)
 
     def test_boundary_value_is_alpha(self):
-        graph = plateau_profile(3, 1.0, 2000.0, num=400)
+        graph = plateau_profile(3, 1.0, 2000.0)
         # v at r = R(1+1e-7) approaches alpha(R) from below
         assert graph.v[0] == pytest.approx(graph.alphaR, abs=1e-3)
         assert graph.v[0] < graph.alphaR
 
     def test_far_field_coefficient(self):
         for N, R in [(3, 1.0), (5, 1.0)]:
-            graph = plateau_profile(N, R, 2.0e3 * R, num=800)
+            graph = plateau_profile(N, R, 2.0e3 * R)
             i = np.searchsorted(graph.r, 1.0e3 * R)
             assert graph.r[i] ** (N - 2) * graph.v[i] == pytest.approx(
                 graph.decay_coeff, rel=0.01
             )
 
     def test_subharmonic_bound(self):
-        graph = plateau_profile(4, 1.0, 2000.0, num=400)
+        graph = plateau_profile(4, 1.0, 2000.0)
         assert np.max(graph.r ** (graph.N - 2) * graph.v) < 2.0 * graph.alphaR
 
     def test_exact_derivative_value(self):
         # v'(2) = -(1/4)/sqrt(1 - 1/16) for N = 3, R = 1
-        graph = plateau_profile(3, 1.0, 10.0, num=2000)
+        graph = plateau_profile(3, 1.0, 10.0)
         i = np.argmin(np.abs(graph.r - 2.0))
         want = -(2.0 ** (1 - 3)) / np.sqrt(1 - 2.0 ** (2 * (1 - 3)))
         assert graph.dv[i] == pytest.approx(want, rel=5e-3)
@@ -100,7 +100,7 @@ class TestPlateauProfile:
         assert np.all(flux == 0.0)
 
     def test_flux_residual_array_and_sup(self):
-        graph = plateau_profile(5, 1.5, 3000.0, num=400)
+        graph = plateau_profile(5, 1.5, 3000.0)
         flux = graph.r**4 * graph.dv / np.sqrt(1.0 + graph.dv**2)
         assert np.array_equal(graph.flux_residual, np.abs(flux + 1.5**4))
         assert minimal_graph_residual(graph) == np.max(graph.flux_residual)
@@ -178,22 +178,27 @@ class TestClosedFormOracle:
 class TestPlateauZeta0:
     @pytest.mark.parametrize("N", [3, 4, 5])
     def test_decay_exponent_is_two_minus_N(self, N):
-        graph = plateau_profile(N, 1.0, 2000.0, num=900)
+        graph = plateau_profile(N, 1.0, 2000.0)
         zeta0, fit = plateau_zeta0(graph)
         assert np.all(zeta0 > 0)
         assert fit.exponent == pytest.approx(2 - N, abs=0.02)
 
     def test_coefficient_limit(self):
-        graph = plateau_profile(5, 1.0, 2000.0, num=900)
-        zeta0, _ = plateau_zeta0(graph)
-        i = np.searchsorted(graph.r, 1.0e3)
-        assert graph.r[i] ** 3 * zeta0[i] == pytest.approx(4.0 / 3.0, rel=1e-3)
+        """At the first sample >= 1000 R, r^(N-2) zeta_0 is its limit (N-1) R^(N-1) / (N-2)
+        up to a relative correction of order (R/r)^(2N-2) <= 1e-12."""
+        for N in range(3, 13):
+            for R in (0.5, 1.0, 2.75):
+                graph = plateau_profile(N, R, 2.0e3 * R)
+                zeta0, _ = plateau_zeta0(graph)
+                i = np.searchsorted(graph.r, 1.0e3 * R)
+                want = (N - 1) * R ** (N - 1) / (N - 2)
+                assert graph.r[i] ** (N - 2) * zeta0[i] == pytest.approx(want, rel=1e-12)
 
     def test_degenerate_rate_misses_nondegeneracy_threshold(self):
         from cjlab.decay import classify_against_indicial
         from cjlab.spectra import ConeSpec, indicial_data, link_eigenvalues
 
-        graph = plateau_profile(3, 1.0, 2000.0, num=900)
+        graph = plateau_profile(3, 1.0, 2000.0)
         _, fit = plateau_zeta0(graph)
         spectral = indicial_data(ConeSpec(2, 2), link_eigenvalues(ConeSpec(2, 2), 6))
         cls = classify_against_indicial(fit, spectral)

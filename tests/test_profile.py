@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -17,7 +18,7 @@ from cjlab import (
     jacobi_field_translation,
 )
 from cjlab.decay import fit_power_law
-from cjlab.profile import MAX_GRID_SAMPLES, _series_start, arc_length_defect
+from cjlab.profile import MAX_GRID_SAMPLES, _series_start, arc_length_defect, curvature_terms
 
 
 def tiny_start_oracle(m, n, start_axis, eps):
@@ -197,6 +198,32 @@ class TestGeometryTrace:
         ray = cone_ray(spec, np.linspace(0.0, 1.0, 30))
         with pytest.raises(ValueError):
             geometry_trace(ray)
+
+
+def trA3_oracle(m, n, a, b, phi):
+    """tr A^3 as the direct sum of cubed principal curvatures, at 40 digits."""
+    with mp.workdps(40):
+        a, b, phi = (mp.mpf(float(x)) for x in (a, b, phi))
+        ka, kb = mp.sin(phi) / a, -mp.cos(phi) / b
+        dphi = -(m - 1) * ka - (n - 1) * kb
+        return dphi**3 + (m - 1) * ka**3 + (n - 1) * kb**3
+
+
+class TestCurvatureTerms:
+    @pytest.mark.parametrize("n", [2, 3, 4, 9, 50])
+    def test_m_is_n_plus_1_closed_form(self, n):
+        """The factored tr A^3 of m = n + 1 is the direct sum at random points,
+        and keeps its precision at the axis start, where the sum cancels."""
+        spec = ConeSpec(n + 1, n)
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            a, b = np.exp(rng.uniform(-3.0, 3.0, 2))
+            phi = rng.uniform(0.0, np.pi / 2)
+            want = trA3_oracle(n + 1, n, a, b, phi)
+            assert abs(curvature_terms(spec, a, b, phi)[3] / want - 1) < 1e-13
+        a, b, phi = _series_start(spec, 1e-3)
+        want = trA3_oracle(n + 1, n, a, b, phi)
+        assert abs(curvature_terms(spec, a, b, phi)[3] / want - 1) < 1e-9
 
 
 class TestJacobiFields:
