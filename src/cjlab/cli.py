@@ -17,6 +17,13 @@ override file values.  :func:`check_inputs` casts and checks every value
 before a command runs and turns the library's ValueError or
 OverflowError into exit 2.
 
+Only the standard library, :mod:`cjlab.spectra` and :mod:`cjlab.io` are
+imported with this module, so ``cjl spectrum``, ``--help``, ``--version``
+and usage errors load no numpy.  :func:`check_inputs` binds the solver
+library (numpy and the :data:`_LIBRARY` names) once the spectrum and the
+sweep list are checked; ``cjlab.cli.<name>`` binds it too, and a name set
+on the module before that (a tracing wrapper, say) is kept.
+
 A run directory receives the data files plus ``manifest.json`` (config
 echo, tool version, wall time, sha256 checksums, summary metrics),
 written last.  Data files are deterministic: two runs with identical
@@ -28,6 +35,7 @@ error, 3 I/O error, 4 numerical target miss.
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
 import os
 import sys
@@ -36,27 +44,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from cjlab import __version__, decay
+from cjlab import DiagnosticError, IntegrationFailure, __version__
 from cjlab.io import file_checksums, write_csv, write_json
-from cjlab.jacobi import (
-    DiagnosticError,
-    decay_diagnostics,
-    near_origin_behavior,
-    solve_jacobi,
-)
-from cjlab.profile import (
-    GeometryTrace,
-    IntegrationFailure,
-    ProfileCurve,
-    ShootingConfig,
-    arc_length_defect,
-    cone_crossings,
-    geometry_trace,
-    integrate_profile,
-)
-from cjlab.plateau import minimal_graph_residual, plateau_profile, plateau_zeta0
 from cjlab.spectra import (
     ConeSpec,
     SpectralData,
@@ -65,6 +54,39 @@ from cjlab.spectra import (
     predicted_nu_bar,
     regime_of,
 )
+
+#: The solver library, bound into this module by :func:`_library` on first
+#: use: name -> (module, attribute), or (module, None) for the module itself.
+_LIBRARY = {
+    "np": ("numpy", None),
+    "decay": ("cjlab.decay", None),
+    **{name: ("cjlab.profile", name) for name in (
+        "GeometryTrace", "ProfileCurve", "ShootingConfig", "arc_length_defect",
+        "cone_crossings", "geometry_trace", "integrate_profile")},
+    **{name: ("cjlab.jacobi", name) for name in (
+        "decay_diagnostics", "near_origin_behavior", "solve_jacobi")},
+    **{name: ("cjlab.plateau", name) for name in (
+        "minimal_graph_residual", "plateau_profile", "plateau_zeta0")},
+}
+
+
+def _library() -> None:
+    """Import the solver library and bind its :data:`_LIBRARY` names here;
+    a name already bound (a wrapper set on this module, say) stays."""
+    g = globals()
+    for name, (module, attr) in _LIBRARY.items():
+        if name not in g:
+            value = importlib.import_module(module)
+            g[name] = value if attr is None else getattr(value, attr)
+
+
+def __getattr__(name: str):
+    """``cjlab.cli.<library name>`` binds the library first (PEP 562)."""
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _library()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -194,18 +216,20 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
         else:
             v[name] = default(v) if callable(default) else default
     try:
+        if command in _CONE:
+            spec = ConeSpec(v["m"], v["n"])
+            if command == "spectrum":
+                return RunConfig(command, v, spec=spec, spectral=indicial_data(
+                    spec, link_eigenvalues(spec, v["count"])))
+        specs = parse_sweep(v["specs"]) if command == "report" else ()
+        _library()
         if command == "plateau":
             graph = plateau_profile(v["N"], v["R"], v["r_max"])
             return RunConfig(command, v, plateau=(graph, *plateau_zeta0(graph),
                                                   minimal_graph_residual(graph)))
         if command == "report":
             return RunConfig(command, v, sweep=tuple(
-                sweep_config(spec, v["eps"], v["grid_step"])
-                for spec in parse_sweep(v["specs"])))
-        spec = ConeSpec(v["m"], v["n"])
-        if command == "spectrum":
-            return RunConfig(command, v, spec=spec, spectral=indicial_data(
-                spec, link_eigenvalues(spec, v["count"])))
+                sweep_config(spec, v["eps"], v["grid_step"]) for spec in specs))
         shooting = ShootingConfig(spec=spec, epsilon=v["eps"], s_max=v["s_max"],
                                   grid_step=v["grid_step"])
         if command == "jacobi" and not shooting.s_max > 1.0:
@@ -233,13 +257,11 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> Outcome:
         write_json(path, asdict(data))
     else:
         path = out / "spectrum.csv"
-        j = np.arange(len(data.lambdas))
         write_csv(
             path,
             ["j", "lambda", "Lambda_re", "Lambda_im", "root_minus", "root_plus"],
-            [j, np.array(data.lambdas), np.array(data.Lambda_re), np.array(data.Lambda_im),
-             np.array([p[0] for p in data.indicial_roots]),
-             np.array([p[1] for p in data.indicial_roots])],
+            [range(len(data.lambdas)), data.lambdas, data.Lambda_re, data.Lambda_im,
+             [p[0] for p in data.indicial_roots], [p[1] for p in data.indicial_roots]],
         )
     metrics = {
         "stable": data.stable,
@@ -404,7 +426,7 @@ def _cmd_report(cfg: RunConfig, out: Path) -> Outcome:
         path = out / "report.csv"
         keys = ["m", "n", "N", "stable", "predicted_nu_bar", "fitted_exponent",
                 "oscillatory", "nearest_root", "gap", "crossings"]
-        write_csv(path, keys, [np.array([row[k] for row in rows]) for k in keys])
+        write_csv(path, keys, [[row[k] for row in rows] for k in keys])
     max_gap = max(r["gap"] for r in rows)
     return Outcome([path, *files], {"rows": len(rows), "max_gap": max_gap},
                    f"report: {len(rows)} specs, max fitted-vs-indicial gap {max_gap:.4f} -> {path}")

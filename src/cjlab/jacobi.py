@@ -40,11 +40,10 @@ from typing import Callable
 
 import numpy as np
 
-from cjlab import decay
+from cjlab import DiagnosticError, IntegrationFailure, decay
 from cjlab.profile import (
     RTOL,
     GeometryTrace,
-    IntegrationFailure,
     ProfileCurve,
     ShootingConfig,
     _rhs,
@@ -81,10 +80,6 @@ MAX_PSI_NFEV = 500_000
 #: finite-difference step (in t) targeted by the residual evaluator;
 #: balances h^2 truncation against roundoff amplified by 1/h^2.
 RESIDUAL_FD_STEP = 7e-4
-
-
-class DiagnosticError(ValueError):
-    """A diagnostic cannot be computed on this grid; the message names the stage."""
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,9 @@ GRID_SAMPLES = 2000
 #: :func:`_height`; with t_0 = 1 it sums 60 terms.
 _K = np.arange(59)
 
+#: smallest normal float: below it q = (R/r)^{N-1} is subnormal
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class RadialGraph:
@@ -95,12 +98,13 @@ def _check_NR(N: int, R: float) -> None:
         raise ValueError("need finite R > 0")
 
 
-def _height(N: int, R: float, q):
+def _height(N: int, R: float, R_over_r):
     """v at q = (R/r)^{N-1}: R/(N-1) * 1/2 B(a, 1/2) * I_{q^2}(a, 1/2).
 
     Both branches of I sum one series in y = min(x, 1 - x) <= 1/2, whose
     terms fall by more than half each: 60 of them reach double precision.
     """
+    q = R_over_r ** (N - 1)
     a = 0.5 - 0.5 / (N - 1)
     beta = math.exp(math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5))
     x = q * q
@@ -109,8 +113,10 @@ def _height(N: int, R: float, q):
     p = np.where(lower, a, 0.5)  # the first beta parameter, a or 1/2
     ratios = (a + 0.5 + _K) / (p[..., None] + 1.0 + _K) * y[..., None]
     series = 1.0 + np.cumprod(ratios, axis=-1).sum(axis=-1)
-    # q**(2a) = x**a keeps the precision x loses where it is subnormal
-    y_p = np.where(lower, q ** (2.0 * a), np.sqrt(y))
+    # q**(2a) = x**a keeps the precision x loses where it is subnormal, and
+    # (R/r)**(N-2) (2a (N-1) = N-2) the precision q loses where it is subnormal
+    q_2a = np.where(q < _TINY, R_over_r ** (N - 2), q ** (2.0 * a))
+    y_p = np.where(lower, q_2a, np.sqrt(y))
     part = y_p * (1.0 - y) ** (a + 0.5 - p) / (p * beta) * series
     return R / (N - 1) * 0.5 * beta * np.where(lower, part, 1.0 - part)
 
@@ -135,9 +141,10 @@ def plateau_profile(N: int, R: float, r_max: float) -> RadialGraph:
     if not r0 > R:  # R below about 2.5e-317, where the float spacing exceeds 1e-7 R
         raise ValueError(f"R = {R} is too small: the first sample R (1 + 1e-7) rounds to R")
     r = np.geomspace(r0, r_max, GRID_SAMPLES)
-    q = (R / r) ** (N - 1)
+    R_over_r = R / r
+    q = R_over_r ** (N - 1)
     dv = -q / np.sqrt(1.0 - q * q)
-    return RadialGraph(N=N, R=float(R), r=r, v=_height(N, R, q), dv=dv,
+    return RadialGraph(N=N, R=float(R), r=r, v=_height(N, R, R_over_r), dv=dv,
                        alphaR=alpha_of_R(N, R))
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from cjlab import IntegrationFailure
 from cjlab.spectra import ConeSpec
 
 __all__ = [
@@ -61,14 +62,6 @@ MAX_SHOOTING_DIMENSION = 100
 #: Relative tolerance of every ODE integration in the package; at 1e-12 the
 #: m = 2, n >= 8 profiles miss the 1e-7 H-residual target.
 RTOL = 1e-13
-
-
-class IntegrationFailure(RuntimeError):
-    """Profile integration aborted; carries the last valid arc length."""
-
-    def __init__(self, message: str, last_s: float):
-        super().__init__(message)
-        self.last_s = last_s
 
 
 @dataclass(frozen=True)

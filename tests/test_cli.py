@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cjlab.cli import OPTIONS, ConfigError, RunConfig, configure, main
-from cjlab.io import fmt10, write_csv
+from cjlab.io import fmt10, write_csv, write_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,6 +60,48 @@ class TestWriteCsv:
     def test_unequal_lengths_raise(self, tmp_path):
         with pytest.raises(ValueError, match="share a length"):
             write_csv(tmp_path / "x.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+    @staticmethod
+    def csv_bytes(columns) -> bytes:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+            return path.read_bytes()
+
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_sequence_columns_match_array_columns(self, kind):
+        """int, bool and float (nan, +-inf) columns as Python sequences."""
+        arrays = [np.arange(13) - 6, np.arange(13) % 3 == 0, np.array(EDGE_FLOATS)]
+        assert self.csv_bytes([kind(a.tolist()) for a in arrays]) == self.csv_bytes(arrays)
+        assert self.csv_bytes([kind(a) for a in arrays]) == self.csv_bytes(arrays)
+
+    def test_range_column_matches_arange(self):
+        assert self.csv_bytes([range(-3, 40)]) == self.csv_bytes([np.arange(-3, 40)])
+
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_float_lists_match_float_arrays(self, xs):
+        want = self.csv_bytes([np.array(xs), np.array(xs[::-1])])
+        assert self.csv_bytes([xs, xs[::-1]]) == want
+        assert self.csv_bytes([list(np.array(xs)), tuple(xs[::-1])]) == want
+
+
+class TestWriteJson:
+    PYTHON = {"f": 1.2345678901234, "i": 3, "b": True, "nan": math.nan, "inf": -math.inf,
+              "half": 0.5, "list": [1e-5, 2.0, math.inf], "ints": [1, -2],
+              "nested": {"pair": [0.1, -3.0], "flags": [False, True]}}
+    NUMPY = {"f": np.float64(1.2345678901234), "i": np.int64(3), "b": np.bool_(True),
+             "nan": np.float64(math.nan), "inf": np.float64(-math.inf), "half": np.float32(0.5),
+             "list": np.array([1e-5, 2.0, math.inf]), "ints": np.array([1, -2]),
+             "nested": {"pair": (np.float64(0.1), -3.0), "flags": np.array([False, True])}}
+
+    def test_numpy_values_match_python_values(self, tmp_path):
+        write_json(tmp_path / "py.json", self.PYTHON)
+        write_json(tmp_path / "np.json", self.NUMPY)
+        assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
+        assert json.loads((tmp_path / "py.json").read_text()) == {
+            **self.PYTHON, "f": 1.23456789, "nan": "nan", "inf": "-inf",
+            "list": [1e-5, 2.0, "inf"]}
 
 
 class TestSpectrumCommand:
@@ -392,34 +434,88 @@ def test_benchmark_sites_resolve():
     assert missing == []
 
 
+def run_fresh(script: str, *args: str) -> dict:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``; the
+    JSON object that its last stdout line prints."""
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 class TestImportLayering:
-    """The cheap paths (import, spectrum, usage errors and the closed-form
-    plateau) never load scipy."""
+    """The cheap paths (import, spectrum, --help, --version and usage
+    errors) load neither numpy nor scipy, and the closed-form plateau loads
+    no scipy."""
 
     SCRIPT = """
 import json, sys
-def scipy_modules():
-    return sorted(k for k in sys.modules if k.split(".")[0] == "scipy")
+def loaded():
+    return sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"})
 import cjlab, cjlab.cli
-steps = {"import": [None, scipy_modules()]}
-for name, argv in (("spectrum", ["spectrum", "--m", "4", "--n", "4"]),
-                   ("usage_error", ["spectrum", "--m", "1", "--n", "3"])):
-    steps[name] = [cjlab.cli.main(argv + ["--out", sys.argv[1]]), scipy_modules()]
-steps["plateau"] = [cjlab.cli.main(["plateau", "--N", "5", "--R", "1", "--out", sys.argv[1]]),
-                    scipy_modules()]
+steps = {"import": [None, loaded()]}
+out = ["--out", sys.argv[1]]
+for name, argv in (("spectrum", ["spectrum", "--m", "4", "--n", "4", *out]),
+                   ("spectrum_csv", ["spectrum", "--m", "4", "--n", "4", "--format", "csv", *out]),
+                   ("usage_error", ["spectrum", "--m", "1", "--n", "3", *out]),
+                   ("empty_sweep", ["report", "--specs", "", *out]),
+                   # an error inside the command passes main's numerical handlers
+                   ("io_error", ["spectrum", "--m", "4", "--n", "4", "--out", sys.argv[2]]),
+                   ("help", ["--help"]),
+                   ("version", ["--version"]),
+                   ("plateau", ["plateau", "--N", "5", "--R", "1", *out])):
+    try:
+        rc = cjlab.cli.main(argv)
+    except SystemExit as exc:  # argparse ends --help and --version this way
+        rc = exc.code
+    steps[name] = [rc, loaded()]
 print(json.dumps(steps))
 """
 
     def test_no_scipy_on_cheap_paths(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / "o")],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        steps = json.loads(proc.stdout.splitlines()[-1])
-        assert steps == {"import": [None, []], "spectrum": [0, []], "usage_error": [2, []],
-                         "plateau": [0, []]}
+        (tmp_path / "blocked" / "spectrum.json").mkdir(parents=True)
+        steps = run_fresh(self.SCRIPT, str(tmp_path / "o"), str(tmp_path / "blocked"))
+        assert steps == {"import": [None, []], "spectrum": [0, []], "spectrum_csv": [0, []],
+                         "usage_error": [2, []], "empty_sweep": [2, []], "io_error": [3, []],
+                         "help": [0, []], "version": [0, []], "plateau": [0, ["numpy"]]}
+
+
+class TestLazyLibrary:
+    """cli binds the solver library on first use, and a name set on the
+    module beforehand (a tracing wrapper, say) is the one its commands call."""
+
+    def test_every_library_name_resolves_before_a_command_runs(self):
+        steps = run_fresh("""
+import importlib, json, sys
+import cjlab.cli as cli
+before = "numpy" in sys.modules
+wrong = []
+for name, (module, attr) in cli._LIBRARY.items():
+    want = importlib.import_module(module)
+    if getattr(cli, name) is not (want if attr is None else getattr(want, attr)):
+        wrong.append(name)
+print(json.dumps({"numpy_before": before, "wrong": wrong, "count": len(cli._LIBRARY)}))
+""")
+        assert steps == {"numpy_before": False, "wrong": [], "count": 15}
+
+    def test_a_wrapper_set_before_first_use_is_called(self, tmp_path):
+        steps = run_fresh("""
+import json, sys
+import cjlab.cli
+import cjlab.jacobi
+calls = []
+def wrapper(cfg, *args, **kwargs):
+    calls.append([cfg.spec.m, cfg.spec.n])
+    return cjlab.jacobi.solve_jacobi(cfg, *args, **kwargs)
+cjlab.cli.solve_jacobi = wrapper
+rc = cjlab.cli.main(["jacobi", "--m", "3", "--n", "3", "--s-max", "300", "--grid-step", "1e-3",
+                     "--out", sys.argv[1]])
+print(json.dumps({"rc": rc, "calls": calls, "kept": cjlab.cli.solve_jacobi is wrapper}))
+""", str(tmp_path / "o"))
+        assert steps == {"rc": 0, "calls": [[3, 3]], "kept": True}
 
 
 class TestIOFailures:

@@ -121,14 +121,11 @@ def betainc_oracle(N, R, r):
 
 
 def assert_matches_oracle(N, R, r, v):
-    """v within 1e-12 of the oracle, where q = (R/r)^{N-1} is a float."""
-    q = (R / r) ** (N - 1)
-    if q == 0.0:  # q underflows: v is exactly 0
-        assert v == 0.0, (N, R, r)
-        return
-    # a subnormal q carries an absolute rounding error of one spacing
-    tol = 1e-12 + 2.0 * np.finfo(float).smallest_subnormal / q
-    assert abs(v / float(betainc_oracle(N, R, r)) - 1.0) <= tol, (N, R, r)
+    """v within 1e-12 of the oracle, plus two spacings where v is subnormal;
+    this holds also where q = (R/r)^{N-1} is subnormal or underflows."""
+    want = float(betainc_oracle(N, R, r))
+    tol = 1e-12 * want + 2.0 * np.finfo(float).smallest_subnormal
+    assert abs(v - want) <= tol, (N, R, r, v, want)
 
 
 class TestClosedFormOracle:
@@ -158,6 +155,16 @@ class TestClosedFormOracle:
     def test_grid_points_match_oracle(self, N, R, i):
         graph = plateau_profile(N, R, 2.0e3 * R)
         assert_matches_oracle(N, R, graph.r[i], graph.v[i])
+
+    def test_subnormal_q_at_a_huge_r_max(self):
+        # q = (R/r)^2 is subnormal or zero on the last ~100 samples, where
+        # v ~ R/r is still a normal float: v keeps full precision there
+        graph = plateau_profile(3, 1.0, 1e162)
+        q = (1.0 / graph.r) ** 2
+        tiny_q = np.nonzero(q < np.finfo(float).tiny)[0]
+        assert len(tiny_q) > 90 and q[-1] == 0.0
+        for i in [*tiny_q, *range(0, len(graph.r), 100)]:
+            assert_matches_oracle(3, 1.0, graph.r[i], graph.v[i])
 
     @pytest.mark.parametrize("N", [3, 5, 12])
     def test_oracle_matches_tail_integral(self, N):
