@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,63 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308, 1.8e3
                1e-5, 1.2345678901234, -3.0, 1e16, 123456789012.0]
 
 
+def _ten_to(k: int, step: int) -> float:
+    """10**k (correctly rounded), or its neighbour above (step 1) or below (-1)."""
+    return float(np.nextafter(float(f"1e{k}"), step * math.inf)) if step else float(f"1e{k}")
+
+
+#: Where %.10g switches between fixed and exponent notation.
+SWITCH_POINTS = [9.9999999995e-5, 1e-4, 9999999999.5, 1e10]
+
+
+def _dyadic_tie(i: int, r: int) -> float:
+    """The r-th odd multiple of 2**-i (counting from the smallest) whose
+    decimal expansion has 11 significant digits: a tie at the 10th."""
+    lo, hi = -(-10**10 // 5**i) // 2, (10**11 // 5**i - 1) // 2
+    return (2 * (lo + r % (hi - lo + 1)) + 1) / 2**i
+
+
+#: Floats where a %.10g is easy to get wrong.  A decimal tie at the 10th
+#: digit is a number whose exact expansion has 11 significant digits, the
+#: last a 5: N + 0.5 for 10-digit N, an 11-digit integer ending in 5 times
+#: 10**j (exact while below 2**53), and r/2**i with r*5**i of 11 digits.
+#: The float parsed from such a decimal's digits lies within half an ulp of it.
+_TIES = st.one_of(
+    st.tuples(st.integers(10**9, 10**10 - 1), st.integers(-300, 300)).map(
+        lambda t: float(f"{t[0]}5e{t[1]}")),
+    st.integers(10**9, 10**10 - 1).map(lambda n: n + 0.5),
+    st.tuples(st.integers(10**9, 10**10 - 1), st.integers(0, 4)).map(
+        lambda t: float((10 * t[0] + 5) * 10 ** t[1])),
+    st.tuples(st.integers(1, 15), st.integers(0, 10**10)).map(lambda t: _dyadic_tie(*t)),
+)
+HARD_FLOATS = st.tuples(st.sampled_from([1.0, -1.0]), st.one_of(
+    st.sampled_from([0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308,
+                     2.225073858507201e-308, 1.7976931348623157e308, *SWITCH_POINTS]),
+    st.floats(0.0, 2.3e-308),  # subnormals
+    st.floats(1.7e308, 1.7976931348623157e308),
+    _TIES,
+    st.tuples(st.integers(-323, 308), st.integers(-1, 1)).map(lambda t: _ten_to(*t)),
+    st.tuples(st.sampled_from(SWITCH_POINTS), st.integers(-3, 3)).map(
+        lambda t: float(t[0] + t[1] * np.spacing(t[0]))),
+    st.floats(allow_nan=True, allow_infinity=True),
+)).map(lambda t: t[0] * t[1])
+
+
+def _hard_values() -> np.ndarray:
+    """A fixed sample of HARD_FLOATS' kinds, with both signs: every power of
+    ten and its two neighbours, 200 ties of each kind, and the switch points
+    with three neighbours on each side."""
+    rng = np.random.default_rng(16)
+    n = rng.integers(10**9, 10**10, 200).tolist()
+    xs = [_ten_to(k, step) for k in range(-323, 309) for step in (-1, 0, 1)]
+    xs += [float(f"{a}5e{b}") for a, b in zip(n, rng.integers(-300, 301, 200).tolist())]
+    xs += [a + 0.5 for a in n]
+    xs += [float((10 * a + 5) * 10**j) for a, j in zip(n, rng.integers(0, 5, 200).tolist())]
+    xs += [_dyadic_tie(i, a) for i, a in zip(rng.integers(1, 16, 200).tolist(), n)]
+    xs += [float(x + j * np.spacing(x)) for x in SWITCH_POINTS for j in range(-3, 4)]
+    return np.array(xs + [-x for x in xs])
+
+
 class TestWriteCsv:
     """write_csv against a per-cell rendering: format(x, ".10g") for floating
     columns, fmt10 for the others."""
@@ -51,6 +109,7 @@ class TestWriteCsv:
         pytest.param([np.array([]), np.array([], dtype=int)], id="zero-rows"),
         pytest.param([np.random.default_rng(8).standard_normal(500)
                       * 10.0 ** np.random.default_rng(9).integers(-300, 300, 500)], id="random"),
+        pytest.param([_hard_values()], id="hard-values"),
     ])
     def test_bytes_match_per_cell_rendering(self, columns, tmp_path):
         header = [f"c{i}" for i in range(len(columns))]
@@ -77,6 +136,41 @@ class TestWriteCsv:
 
     def test_range_column_matches_arange(self):
         assert self.csv_bytes([range(-3, 40)]) == self.csv_bytes([np.arange(-3, 40)])
+
+    @given(cells=st.lists(HARD_FLOATS, max_size=60),
+           rows=st.sampled_from([0, 1, 5, 1999, 2000, 2001, 4500]),
+           ncols=st.integers(1, 4), float32=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_float_arrays_match_the_format_oracle(self, cells, rows, ncols, float32, seed):
+        """The vectorised %.10g against format(float(x), ".10g") per cell.  The
+        drawn cells land near the start, the 2,000-row block boundaries and the
+        end of wide-range random columns."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(rows * ncols) * 10.0 ** rng.integers(-320, 307, rows * ncols)
+        if rows:
+            at = np.r_[0:rows * ncols:ncols * 2000, rows * ncols - 1]
+            at = np.unique(np.clip(at[:, None] + np.arange(-30, 30), 0, rows * ncols - 1))
+            at = rng.permutation(at)[:len(cells)]
+            x[at] = cells[:len(at)]
+        columns = list(x.reshape(rows, ncols).T)
+        if float32:
+            with np.errstate(over="ignore"):
+                columns = [c.astype(np.float32) for c in columns]
+        assert self.csv_bytes(columns) == self.oracle([f"c{i}" for i in range(ncols)], columns)
+
+    def test_peak_memory_of_a_profile_csv(self, tmp_path):
+        """tracemalloc peak of an 18,197 x 9 float64 write, the decimated
+        profile.csv.  The bound is the peak of the per-row % writer on the same
+        input, so the vectorised one holds no whole-CSV temporaries."""
+        rng = np.random.default_rng(0)
+        columns = list(rng.standard_normal((9, 18197)) * 10.0 ** rng.integers(-12, 4, (9, 18197)))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "x.csv", [f"c{i}" for i in range(9)], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.27e6
 
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
@@ -409,7 +503,7 @@ class TestLibraryLayering:
     def test_no_library_module_imports_the_cli(self):
         files = sorted(self.LIBRARY.glob("*.py"))
         assert {path.stem for path in files} == {
-            "__init__", "cli", "decay", "io", "jacobi", "plateau", "profile", "spectra"}
+            "__init__", "cli", "decay", "g10", "io", "jacobi", "plateau", "profile", "spectra"}
         offenders = [f"{path.name}:{line}" for path in files
                      for line, name in imported_modules(path)
                      if name == "cjlab.cli" or name.startswith("cjlab.cli.")]
