@@ -95,6 +95,7 @@ EXIT_NUMERIC = 4
 
 RESIDUAL_TARGET_FACTOR = 1e-6  # jacobi: residual <= factor * (1 + max|f|)
 FLUX_TARGET = 1e-10
+H_RESIDUAL_TARGET = 1e-7  # sup |Hres| of every profile.csv written
 
 #: the report's default --specs: the four core specs
 DEFAULT_SWEEP = "2,2;2,3;3,3;4,4"
@@ -303,20 +304,25 @@ def _traced_profile(shooting: ShootingConfig, out: Path) -> tuple:
     return curve, trace, _profile_csv(out, curve, trace)
 
 
+def _hres_gate(trace) -> tuple[float, str | None]:
+    """sup |Hres| of a trace and why it misses :data:`H_RESIDUAL_TARGET` (or None)."""
+    sup = float(np.max(np.abs(trace.Hres)))
+    return sup, None if sup <= H_RESIDUAL_TARGET else f"H-residual {sup:.3e} exceeds 1e-7"
+
+
 def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
     spec = cfg.shooting.spec
     curve, trace, path = _traced_profile(cfg.shooting, out)
-    hres_sup = float(np.max(np.abs(trace.Hres)))
+    hres_sup, miss = _hres_gate(trace)
     metrics = {
         "H_residual_sup": hres_sup,
         "arc_defect_sup": float(np.max(arc_length_defect(curve))),
         "crossings": cone_crossings(curve),
         "b_over_a_end": float(curve.b[-1] / curve.a[-1]),
-        "accepted_steps": curve.accepted_steps,
+        "rhs_evaluations": curve.accepted_steps,
     }
     return Outcome([path], metrics,
-                   f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {path}",
-                   None if hres_sup <= 1e-7 else f"H-residual {hres_sup:.3e} exceeds 1e-7")
+                   f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {path}", miss)
 
 
 def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
@@ -325,6 +331,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     report = decay_diagnostics(sol, spec)
     origin = near_origin_behavior(sol, spec)
     files = [_profile_csv(out, sol.curve, sol.trace)]
+    hres_sup, hres_miss = _hres_gate(sol.trace)
 
     jac_path = out / "jacobi.csv"
     sl = _stride(len(sol.s))
@@ -351,6 +358,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     metrics = {
         "residual_sup": res,
         "residual_target": target,
+        "H_residual_sup": hres_sup,
         "t0": sol.ef.t0,
         "t1": sol.ef.t1,
         "psi_atol": sol.atol,
@@ -361,10 +369,11 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
         "log_detected": origin.log_detected,
         "weighted_sups": report["sups"],
     }
+    misses = [None if res <= target else f"residual {res:.3e} exceeds {target:.3e}", hres_miss]
     return Outcome(files, metrics,
                    f"jacobi ({spec.m},{spec.n}): residual={res:.3e} "
                    f"(target {target:.3e}) -> {jac_path}",
-                   None if res <= target else f"residual {res:.3e} exceeds {target:.3e}")
+                   "; ".join(filter(None, misses)) or None)
 
 
 def _cmd_plateau(cfg: RunConfig, out: Path) -> Outcome:
@@ -412,12 +421,15 @@ def sweep_row(curve: ProfileCurve, trace: GeometryTrace) -> dict:
 
 
 def _cmd_report(cfg: RunConfig, out: Path) -> Outcome:
-    rows, files = [], []
+    rows, files, misses = [], [], []
     for shooting in cfg.sweep:
         spec = shooting.spec
         curve, trace, path = _traced_profile(shooting, out / f"m{spec.m}n{spec.n}")
+        _, miss = _hres_gate(trace)
         rows.append(sweep_row(curve, trace))
         files.append(path)
+        if miss is not None:
+            misses.append(f"({spec.m},{spec.n}) {miss}")
     rows.sort(key=lambda r: (r["m"], r["n"]))
     if cfg.values["format"] == "json":
         path = out / "report.json"
@@ -429,7 +441,8 @@ def _cmd_report(cfg: RunConfig, out: Path) -> Outcome:
         write_csv(path, keys, [[row[k] for row in rows] for k in keys])
     max_gap = max(r["gap"] for r in rows)
     return Outcome([path, *files], {"rows": len(rows), "max_gap": max_gap},
-                   f"report: {len(rows)} specs, max fitted-vs-indicial gap {max_gap:.4f} -> {path}")
+                   f"report: {len(rows)} specs, max fitted-vs-indicial gap {max_gap:.4f} -> {path}",
+                   "; ".join(misses) or None)
 
 
 _COMMANDS = {

@@ -46,7 +46,6 @@ from cjlab.profile import (
     GeometryTrace,
     ProfileCurve,
     ShootingConfig,
-    _rhs,
     _sampled_curve,
     _series_start,
     curvature_terms,
@@ -319,17 +318,18 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
             raise IntegrationFailure(f"psi solve: over {MAX_PSI_NFEV} right-hand-side evaluations",
                                      last_s=last_s)
         a, b, phi, psi, psi_t = y
-        da, db, dphi = _rhs(ss, (a, b, phi), spec.m, spec.n)
-        _, alpha, A2, trA3 = curvature_terms(spec, a, b, phi)
+        ap, bp = math.cos(phi), math.sin(phi)
+        dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
         force = trA3 if f is None else f(ss, a, b, phi)
-        return [ss * da, ss * db, ss * dphi, psi_t,
+        return [ss * ap, ss * bp, ss * dphi, psi_t,
                 psi_t * (1.0 - ss * alpha) + ss * ss * (force - A2 * psi)]
 
     atol = 1e-14 * cfg.epsilon**2
     y0 = _series_start(spec, cfg.epsilon) + [0.0, 0.0]
     with np.errstate(all="ignore"):  # a failed run raises below
         ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
-    if ivp.status != 0:
+    if ivp.status != 0:  # a curve that crossed an axis before the stall says so first
+        _sampled_curve(spec, s[:len(ivp.t)], np.reshape(ivp.y, (5, -1))[:3])  # [] if no sample
         raise IntegrationFailure(f"psi solve: {ivp.message}",
                                  last_s=math.exp(ivp.t[-1]) if len(ivp.t) else cfg.epsilon)
     curve = _sampled_curve(spec, s, ivp.y[:3])

@@ -113,6 +113,7 @@ class ProfileCurve:
     a: np.ndarray
     b: np.ndarray
     phi: np.ndarray
+    #: right-hand-side evaluations of the run (the benchmark's tracer reads this name)
     accepted_steps: int = 0
 
     @property
@@ -141,10 +142,10 @@ def _series_start(spec: ConeSpec, eps: float) -> list[float]:
     return [1.0 + (m - 1) * eps**2 / (2 * n), eps, math.pi / 2 - (m - 1) * eps / n]
 
 
-def _rhs(s: float, y: np.ndarray, m: int, n: int):
+def _rhs(s: float, y: np.ndarray, spec: ConeSpec):
     a, b, phi = y
-    return [math.cos(phi), math.sin(phi),
-            (n - 1) * math.cos(phi) / b - (m - 1) * math.sin(phi) / a]
+    ap, bp = math.cos(phi), math.sin(phi)
+    return [ap, bp, curvature_terms(spec, a, b, ap, bp)[0]]
 
 
 def _sampled_curve(spec: ConeSpec, s: np.ndarray, y: np.ndarray,
@@ -153,7 +154,7 @@ def _sampled_curve(spec: ConeSpec, s: np.ndarray, y: np.ndarray,
     :class:`IntegrationFailure` if a sample leaves the open quadrant."""
     a, b, phi = y
     outside = np.nonzero(~((a > 0.0) & (b > 0.0)))[0]
-    if len(outside):  # a loose-tolerance dense output, or an IVP with no axis event, can cross
+    if len(outside):  # neither IVP stops at an axis: a curve that crosses one shows here
         raise IntegrationFailure(f"profile samples for (m,n)=({spec.m},{spec.n}) leave the "
                                  "open quadrant", last_s=float(s[max(outside[0] - 1, 0)]))
     return ProfileCurve(spec=spec, s=s, a=a, b=b, phi=phi, accepted_steps=accepted_steps)
@@ -162,42 +163,23 @@ def _sampled_curve(spec: ConeSpec, s: np.ndarray, y: np.ndarray,
 def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     """Integrate the profile system from the axis series start.
 
-    Samples are stored on :meth:`ShootingConfig.grid` via the
-    integrator's dense output.  An interior collision with
-    either axis stops the run and raises :class:`IntegrationFailure`
-    carrying the last valid arc length.
+    Samples are stored on :meth:`ShootingConfig.grid`.  A run the
+    integrator cannot finish, or a sample outside the open quadrant,
+    raises :class:`IntegrationFailure` carrying the last valid arc length.
     """
     # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
     from scipy.integrate import solve_ivp
 
-    m, n = cfg.spec.m, cfg.spec.n
-    y0 = _series_start(cfg.spec, cfg.epsilon)
-
-    def hit_axis(s, y, *_args):
-        return min(y[0], y[1])
-
-    hit_axis.terminal = True
-    hit_axis.direction = -1
-
-    with np.errstate(all="ignore"):  # overflow ends the run or shows in Hres
-        sol = solve_ivp(
-            _rhs,
-            (cfg.epsilon, cfg.s_max),
-            y0,
-            args=(m, n),
-            method="DOP853",
-            rtol=RTOL,
-            atol=RTOL * 1e-2,
-            dense_output=True,
-            events=hit_axis,
-        )
-    if sol.status < 0 or sol.t[-1] < cfg.s_max:
-        raise IntegrationFailure(
-            f"profile integration for (m,n)=({m},{n}) stopped at s={sol.t[-1]:.6g}",
-            last_s=float(sol.t[-1]),
-        )
     s = cfg.grid()
-    return _sampled_curve(cfg.spec, s, sol.sol(s), accepted_steps=len(sol.t))
+    with np.errstate(all="ignore"):  # overflow ends the run or shows in Hres
+        sol = solve_ivp(_rhs, (s[0], s[-1]), _series_start(cfg.spec, cfg.epsilon),
+                        args=(cfg.spec,), method="DOP853", rtol=RTOL, atol=RTOL * 1e-2, t_eval=s)
+    if sol.status != 0:  # a curve that crossed an axis before the stall says so first
+        _sampled_curve(cfg.spec, s[:len(sol.t)], np.reshape(sol.y, (3, -1)))  # [] if no sample
+        last_s = float(sol.t[-1]) if len(sol.t) else cfg.epsilon
+        raise IntegrationFailure(f"profile integration for (m,n)=({cfg.spec.m},{cfg.spec.n}) "
+                                 f"stopped at s={last_s:.6g}", last_s=last_s)
+    return _sampled_curve(cfg.spec, s, sol.y, accepted_steps=sol.nfev)
 
 
 def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:
@@ -213,14 +195,17 @@ def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:
     )
 
 
-def curvature_terms(spec: ConeSpec, a, b, phi):
-    """Closed-form phi', alpha, |A|^2 and tr(A^3) at profile points (a, b, phi).
+def curvature_terms(spec: ConeSpec, a, b, ap, bp):
+    """Closed-form phi', alpha, |A|^2 and tr(A^3) at profile points (a, b)
+    with direction cosines ap = cos(phi), bp = sin(phi).
 
-    Takes floats or arrays; :func:`geometry_trace` and the Jacobi solve
-    both evaluate the geometry through this one function.
+    The one place these terms are formed: the profile right-hand side,
+    the Jacobi solve and :func:`geometry_trace` all evaluate them here.
+    Floats give floats, numpy scalars (the state components the
+    integrator hands both right-hand sides) give numpy scalars, and
+    arrays give arrays.
     """
     m, n = spec.m, spec.n
-    ap, bp = np.cos(phi), np.sin(phi)
     dphi = (n - 1) * ap / b - (m - 1) * bp / a
     ka = bp / a
     kb = -ap / b
@@ -266,11 +251,11 @@ def geometry_trace(curve: ProfileCurve) -> GeometryTrace:
         raise ValueError("geometry trace requires samples with s, a, b > 0")
     with np.errstate(all="ignore"):  # non-finite values show in Hres
         ap, bp = np.cos(phi), np.sin(phi)
-        dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, phi)
+        dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
         zeta0 = a * bp - ap * b
         dphi_fd = _fd_derivative_log(curve.t, phi) / s
         Hres = dphi_fd + (m - 1) * np.sin(phi) / a - (n - 1) * np.cos(phi) / b
-        app, bpp = -np.sin(phi) * dphi, np.cos(phi) * dphi
+        app, bpp = -bp * dphi, ap * dphi
         alpha_prime = (m - 1) * (app / a - (ap / a) ** 2) + (n - 1) * (bpp / b - (bp / b) ** 2)
         dzeta0_dt = s * dphi * (a * ap + b * bp)
     return GeometryTrace(

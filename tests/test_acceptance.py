@@ -149,7 +149,7 @@ def test_c07_jacobi_solve(jacobi_configs, jacobi_solutions):
     cfg = jacobi_configs[(3, 3)]
 
     def f1(s, a, b, phi):
-        return curvature_terms(cfg.spec, a, b, phi)[3]
+        return curvature_terms(cfg.spec, a, b, np.cos(phi), np.sin(phi))[3]
 
     def f2(s, a, b, phi):
         return (1.0 + s**2) ** -2

@@ -696,6 +696,17 @@ class TestJacobiCommand:
         err = capsys.readouterr().err.splitlines()
         assert err == ["integration failure: psi solve: non-finite state (last s = 1e-160)"]
 
+    def test_profile_h_residual_target(self, tmp_path, capsys):
+        """The profile.csv a jacobi run writes meets the H-residual target of
+        cjl profile; at eps = 1e-8 its sup, at s = eps, misses it."""
+        out = tmp_path / "o"
+        argv = ["--m", "3", "--n", "3", "--eps", "1e-8", "--s-max", "300", "--grid-step", "1e-3"]
+        assert main(["jacobi", *argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical target missed: H-residual 1.627e-04 exceeds 1e-7"]
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["H_residual_sup"] == pytest.approx(1.627e-4, rel=1e-3)
+
     def test_profile_command(self, tmp_path):
         out = tmp_path / "o"
         code = main(["profile", "--m", "2", "--n", "2", "--s-max", "50",

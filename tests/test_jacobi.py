@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -160,15 +161,24 @@ class TestSolveJacobi:
     def test_curve_leaving_the_quadrant_raises(self, short_configs, monkeypatch):
         """The psi IVP has no axis event; its samples are checked instead, so
         a curve that crosses an axis never reaches geometry_trace."""
-        def doomed_rhs(s, y, m, n):
-            return [np.cos(y[2]), np.sin(y[2]), -3.0]  # curls b back into the axis
-
-        monkeypatch.setattr(jacobi, "_rhs", doomed_rhs)
-        # flat coefficients, so the IVP steps across the axis instead of stalling at it
-        monkeypatch.setattr(jacobi, "curvature_terms", lambda spec, a, b, phi: (0.0,) * 4)
+        # phi' = -3 curls b back into the axis; flat coefficients, so the IVP
+        # steps across the axis instead of stalling at it
+        monkeypatch.setattr(jacobi, "curvature_terms",
+                            lambda spec, a, b, ap, bp: (-3.0, 0.0, 0.0, 0.0))
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             solve_jacobi(short_configs[(2, 2)])
         assert 0 < err.value.last_s < 200.0
+
+    def test_unfinished_run_past_an_axis_raises_at_the_axis(self, short_configs, monkeypatch):
+        """A run that crosses an axis and then stalls reports the crossing,
+        with the last sample inside the quadrant, not where it stalled."""
+        # b crosses 0 near s = pi/3; phi' jumps to 1e20 at b = -0.05, where no
+        # step is short enough to meet the tolerance
+        monkeypatch.setattr(jacobi, "curvature_terms", lambda spec, a, b, ap, bp:
+                            (-3.0 if b > -0.05 else 1e20, 0.0, 0.0, 0.0))
+        with pytest.raises(IntegrationFailure, match="open quadrant") as err:
+            solve_jacobi(short_configs[(2, 2)])
+        assert 1.0 < err.value.last_s < math.pi / 3 + 0.01
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 4)])
     def test_residual_target(self, m, n, jacobi_solutions):
@@ -191,7 +201,7 @@ class TestSolveJacobi:
         cfg = jacobi_configs[(3, 3)]
 
         def f1(s, a, b, phi):
-            return curvature_terms(cfg.spec, a, b, phi)[3]
+            return curvature_terms(cfg.spec, a, b, np.cos(phi), np.sin(phi))[3]
 
         def f2(s, a, b, phi):
             return (1.0 + s**2) ** -2

@@ -126,19 +126,21 @@ class TestIntegrateProfile:
             assert np.all(curve.a > 0) and np.all(curve.b > 0)
 
     def test_interior_collision_raises(self, monkeypatch):
+        """The integration runs on past an axis; the first sample beyond it
+        ends the run with the last sample inside the quadrant."""
         import cjlab.profile as P
 
-        def doomed_rhs(s, y, m, n):
+        def doomed_rhs(s, y, spec):
             return [np.cos(y[2]), np.sin(y[2]), -3.0]  # curls b back into the axis
 
         monkeypatch.setattr(P, "_rhs", doomed_rhs)
-        with pytest.raises(IntegrationFailure) as err:
+        with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             integrate_profile(ShootingConfig(spec=ConeSpec(2, 2), s_max=50.0,
                                              grid_step=1e-3))
         assert 0 < err.value.last_s < 50.0
 
     def test_samples_outside_the_quadrant_raise(self, monkeypatch):
-        """A tolerance so loose that the dense output crosses an axis between
+        """A tolerance so loose that the samples cross an axis between
         accepted steps ends the run instead of handing on a curve with b < 0."""
         import cjlab.profile as P
 
@@ -147,6 +149,35 @@ class TestIntegrateProfile:
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             integrate_profile(cfg)
         assert 0.056 <= err.value.last_s < 88.6
+
+    @pytest.mark.parametrize("s_nan", [1.0, 1e-3])
+    def test_unfinished_run_raises_at_its_last_sample(self, s_nan, monkeypatch):
+        """A right-hand side that turns NaN past s_nan stalls the integrator;
+        the failure names the last grid sample it reached (epsilon = 1e-3,
+        the start, when it reached none)."""
+        import cjlab.profile as P
+
+        rhs = P._rhs
+        monkeypatch.setattr(P, "_rhs", lambda s, y, spec: rhs(s, y, spec) if s <= s_nan
+                            else [math.nan] * 3)
+        cfg = ShootingConfig(spec=ConeSpec(2, 2), s_max=50.0, grid_step=1e-3)
+        with pytest.raises(IntegrationFailure, match="stopped at") as err:
+            integrate_profile(cfg)
+        s = cfg.grid()
+        assert err.value.last_s == s[s <= s_nan][-1]
+
+    def test_unfinished_run_past_an_axis_raises_at_the_axis(self, monkeypatch):
+        """A run that crosses an axis and then stalls reports the crossing,
+        with the last sample inside the quadrant, not where it stalled."""
+        import cjlab.profile as P
+
+        def doomed_rhs(s, y, spec):  # b crosses 0 near s = pi/3; NaN from b = -0.05 stalls it
+            return [math.cos(y[2]), math.sin(y[2]), -3.0 if y[1] > -0.05 else math.nan]
+
+        monkeypatch.setattr(P, "_rhs", doomed_rhs)
+        with pytest.raises(IntegrationFailure, match="open quadrant") as err:
+            integrate_profile(ShootingConfig(spec=ConeSpec(2, 2), s_max=50.0, grid_step=1e-3))
+        assert 1.0 < err.value.last_s < math.pi / 3 + 0.01
 
 
 class TestConeRay:
@@ -210,6 +241,13 @@ def trA3_oracle(m, n, a, b, phi):
 
 
 class TestCurvatureTerms:
+    def test_floats_give_floats(self):
+        """Direction cosines from math.cos/math.sin keep every term a float."""
+        spec = ConeSpec(3, 3)
+        a, b, phi = _series_start(spec, 1e-3)
+        terms = curvature_terms(spec, a, b, math.cos(phi), math.sin(phi))
+        assert [type(x) for x in terms] == [float] * 4
+
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 50])
     def test_m_is_n_plus_1_closed_form(self, n):
         """The factored tr A^3 of m = n + 1 is the direct sum at random points,
@@ -220,10 +258,10 @@ class TestCurvatureTerms:
             a, b = np.exp(rng.uniform(-3.0, 3.0, 2))
             phi = rng.uniform(0.0, np.pi / 2)
             want = trA3_oracle(n + 1, n, a, b, phi)
-            assert abs(curvature_terms(spec, a, b, phi)[3] / want - 1) < 1e-13
+            assert abs(curvature_terms(spec, a, b, np.cos(phi), np.sin(phi))[3] / want - 1) < 1e-13
         a, b, phi = _series_start(spec, 1e-3)
         want = trA3_oracle(n + 1, n, a, b, phi)
-        assert abs(curvature_terms(spec, a, b, phi)[3] / want - 1) < 1e-9
+        assert abs(curvature_terms(spec, a, b, np.cos(phi), np.sin(phi))[3] / want - 1) < 1e-9
 
 
 class TestJacobiFields:
