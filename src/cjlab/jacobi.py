@@ -25,7 +25,7 @@ alpha' along the profile (no numerical differentiation).  V tends to
 -(n-2)^2/4 as t -> -infinity and to -(N-2)^2/4 + (N-1) as t -> +infinity.
 Its fundamental pairs are diagnostics of the solve: on t <= t0, where
 zeta_0 is sign-definite, u_+ = zeta_0 / p is exact and u_- = u_+ int
-u_+^{-2} (a cubic-spline antiderivative on the t grid), and
+u_+^{-2} (a four-point cubic quadrature on the t grid), and
 :func:`left_particular_vop` builds psi / p from them by quadrature as an
 independent cross-check; on [t0, t1] the Wronskian drift of a pair with
 unit-matrix data at t0 measures the integration error.
@@ -214,12 +214,31 @@ def _right_breakpoint_index(t: np.ndarray, V: np.ndarray, spec: ConeSpec, i0: in
 
 
 def _cumulative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Antiderivative of the cubic-spline interpolant, zero at t[0]."""
-    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
-    from scipy.interpolate import CubicSpline
+    """Antiderivative of g on the uniform grid t, zero at t[0].
 
-    F = CubicSpline(t, g).antiderivative()
-    return F(t) - F(t[0])
+    Each cell integrates the cubic through its four nearest samples,
+    h (-g[i-1] + 13 g[i] + 13 g[i+1] - g[i+2]) / 24; past each end a
+    ghost sample lies on the parabola through the three end samples.
+    """
+    ge = np.concatenate(([3.0 * (g[0] - g[1]) + g[2]], g, [3.0 * (g[-1] - g[-2]) + g[-3]]))
+    cells = np.diff(t) * (13.0 * (ge[1:-2] + ge[2:-1]) - (ge[:-3] + ge[3:])) / 24.0
+    return np.concatenate(([0.0], np.cumsum(cells)))
+
+
+def _cubic_interpolant(t: np.ndarray, v: np.ndarray) -> Callable[[float], float]:
+    """x -> the Lagrange cubic through the samples (t, v) at the four grid
+    points nearest x on the uniform grid t (all of them if t has fewer)."""
+    t, v = t.tolist(), v.tolist()
+    k = min(4, len(t))
+    h = (t[-1] - t[0]) / (len(t) - 1)
+
+    def at(x: float) -> float:
+        j = min(max(int((x - t[0]) / h) - 1, 0), len(t) - k)
+        nodes = range(j, j + k)
+        return sum(v[i] * math.prod((x - t[l]) / (t[i] - t[l]) for l in nodes if l != i)
+                   for i in nodes)
+
+    return at
 
 
 def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
@@ -236,8 +255,8 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     interval, in which case the caller must shrink t0.
     """
     k = ef.i0 + 1
-    if k < 2:
-        raise DiagnosticError("left pair: fewer than 2 grid samples on (t_min, t0]; "
+    if k < 3:
+        raise DiagnosticError("left pair: fewer than 3 grid samples on (t_min, t0]; "
                               "refine the grid")
     z = ef.zeta0[:k]
     if np.any(z == 0.0) or (np.min(z) < 0.0 < np.max(z)):
@@ -299,9 +318,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     grid too coarse for a diagnostic raises :class:`DiagnosticError`
     naming the stage.
     """
-    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
-    from scipy.integrate import solve_ivp
-    from scipy.interpolate import CubicSpline
+    from cjlab.dop853 import dop853  # deferred: paths that do not integrate skip it
 
     spec, s = cfg.spec, cfg.grid()
     t = np.log(s)
@@ -327,9 +344,9 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     atol = 1e-14 * cfg.epsilon**2
     y0 = _series_start(spec, cfg.epsilon) + [0.0, 0.0]
     with np.errstate(all="ignore"):  # a failed run raises below
-        ivp = solve_ivp(rhs, (t[0], t[-1]), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t)
+        ivp = dop853(rhs, t[0], t[-1], y0, atol, t)
     if ivp.status != 0:  # a curve that crossed an axis before the stall says so first
-        _sampled_curve(spec, s[:len(ivp.t)], np.reshape(ivp.y, (5, -1))[:3])  # [] if no sample
+        _sampled_curve(spec, s[:len(ivp.t)], ivp.y[:3])
         raise IntegrationFailure(f"psi solve: {ivp.message}",
                                  last_s=math.exp(ivp.t[-1]) if len(ivp.t) else cfg.epsilon)
     curve = _sampled_curve(spec, s, ivp.y[:3])
@@ -342,11 +359,10 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     # columns as one IVP in (u_+, u_-, u_+', u_-')
     left = left_fundamental_pair(ef)
     t_mid = t[ef.i0 : ef.i1 + 1]
-    V = CubicSpline(t_mid, ef.V[ef.i0 : ef.i1 + 1])
+    V = _cubic_interpolant(t_mid, ef.V[ef.i0 : ef.i1 + 1])
     with np.errstate(all="ignore"):  # a NaN drift shows it
-        vp, vm, dvp, dvm = solve_ivp(lambda tt, y: np.concatenate([y[2:], -V(tt) * y[:2]]),
-                                     (t_mid[0], t_mid[-1]), [1.0, 0.0, 0.0, 1.0],
-                                     method="DOP853", rtol=RTOL, atol=atol, t_eval=t_mid).y
+        vp, vm, dvp, dvm = dop853(lambda tt, y: np.concatenate([y[2:], -V(tt) * y[:2]]),
+                                  t_mid[0], t_mid[-1], [1.0, 0.0, 0.0, 1.0], atol, t_mid).y
     resid = _fd_residual(curve, trace, f_grid, psi)
     return JacobiSolution(
         s=s,

@@ -167,19 +167,18 @@ def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     integrator cannot finish, or a sample outside the open quadrant,
     raises :class:`IntegrationFailure` carrying the last valid arc length.
     """
-    # deferred: scipy costs ~0.5 s to import, which paths that do not integrate skip
-    from scipy.integrate import solve_ivp
+    from cjlab.dop853 import dop853  # deferred: it imports RTOL from this module
 
-    s = cfg.grid()
+    spec, s = cfg.spec, cfg.grid()
     with np.errstate(all="ignore"):  # overflow ends the run or shows in Hres
-        sol = solve_ivp(_rhs, (s[0], s[-1]), _series_start(cfg.spec, cfg.epsilon),
-                        args=(cfg.spec,), method="DOP853", rtol=RTOL, atol=RTOL * 1e-2, t_eval=s)
+        sol = dop853(lambda ss, y: _rhs(ss, y, spec), s[0], s[-1],
+                     _series_start(spec, cfg.epsilon), RTOL * 1e-2, s)
     if sol.status != 0:  # a curve that crossed an axis before the stall says so first
-        _sampled_curve(cfg.spec, s[:len(sol.t)], np.reshape(sol.y, (3, -1)))  # [] if no sample
+        _sampled_curve(spec, s[:len(sol.t)], sol.y)
         last_s = float(sol.t[-1]) if len(sol.t) else cfg.epsilon
-        raise IntegrationFailure(f"profile integration for (m,n)=({cfg.spec.m},{cfg.spec.n}) "
+        raise IntegrationFailure(f"profile integration for (m,n)=({spec.m},{spec.n}) "
                                  f"stopped at s={last_s:.6g}", last_s=last_s)
-    return _sampled_curve(cfg.spec, s, sol.y, accepted_steps=sol.nfev)
+    return _sampled_curve(spec, s, sol.y, accepted_steps=sol.nfev)
 
 
 def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:

@@ -503,7 +503,8 @@ class TestLibraryLayering:
     def test_no_library_module_imports_the_cli(self):
         files = sorted(self.LIBRARY.glob("*.py"))
         assert {path.stem for path in files} == {
-            "__init__", "cli", "decay", "g10", "io", "jacobi", "plateau", "profile", "spectra"}
+            "__init__", "cli", "decay", "dop853", "g10", "io", "jacobi", "plateau", "profile",
+            "spectra"}
         offenders = [f"{path.name}:{line}" for path in files
                      for line, name in imported_modules(path)
                      if name == "cjlab.cli" or name.startswith("cjlab.cli.")]
@@ -542,13 +543,17 @@ def run_fresh(script: str, *args: str) -> dict:
 
 class TestImportLayering:
     """The cheap paths (import, spectrum, --help, --version and usage
-    errors) load neither numpy nor scipy, and the closed-form plateau loads
-    no scipy."""
+    errors) load neither numpy nor scipy, the closed-form plateau loads
+    numpy alone, and no command loads scipy: the integrating ones run on
+    the package's own stepper, which nothing else loads."""
 
-    SCRIPT = """
+    LOADED = """
 import json, sys
 def loaded():
-    return sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"})
+    return sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"}
+                  | {"cjlab.dop853"} & sys.modules.keys())
+"""
+    SCRIPT = LOADED + """
 import cjlab, cjlab.cli
 steps = {"import": [None, loaded()]}
 out = ["--out", sys.argv[1]]
@@ -575,6 +580,19 @@ print(json.dumps(steps))
         assert steps == {"import": [None, []], "spectrum": [0, []], "spectrum_csv": [0, []],
                          "usage_error": [2, []], "empty_sweep": [2, []], "io_error": [3, []],
                          "help": [0, []], "version": [0, []], "plateau": [0, ["numpy"]]}
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--m", "3", "--n", "3"],
+        ["jacobi", "--m", "3", "--n", "3", "--s-max", "300", "--grid-step", "1e-3"],
+        ["report", "--specs", "2,2"],
+    ], ids=["profile", "jacobi", "report"])
+    def test_integrating_commands_load_no_scipy(self, argv, tmp_path):
+        steps = run_fresh(self.LOADED + """
+import cjlab.cli
+rc = cjlab.cli.main(sys.argv[1:])
+print(json.dumps([rc, loaded()]))
+""", *argv, "--out", str(tmp_path / "o"))
+        assert steps == [0, ["cjlab.dop853", "numpy"]]
 
 
 class TestLazyLibrary:
@@ -664,12 +682,11 @@ class TestJacobiCommand:
     def test_two_ivps_per_run(self, tmp_path, monkeypatch):
         """The profile is integrated once, together with psi; profile.csv is
         written from those samples."""
-        import scipy.integrate
+        from cjlab import dop853 as stepper
 
         calls = []
-        solve_ivp = scipy.integrate.solve_ivp
-        monkeypatch.setattr(scipy.integrate, "solve_ivp",
-                            lambda *a, **k: calls.append(len(a[2])) or solve_ivp(*a, **k))
+        run = stepper.dop853
+        monkeypatch.setattr(stepper, "dop853", lambda *a: calls.append(len(a[3])) or run(*a))
         out = tmp_path / "o"
         assert main(["jacobi", *M2N2, "--s-max", "200", "--out", str(out)]) == 0
         assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the middle pair

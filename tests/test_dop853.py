@@ -1,0 +1,63 @@
+"""The numpy DOP853 stepper against scipy's, which serves as the oracle here
+only: same tableau, and bit-identical samples, evaluation counts and
+memory layout on the package's own right-hand sides."""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as ref
+
+from cjlab import ConeSpec, ShootingConfig, solve_jacobi
+from cjlab import dop853 as stepper
+from cjlab.profile import RTOL, _rhs, _series_start
+
+
+def test_tableau_is_scipys():
+    assert np.array_equal(stepper.C, ref.C)
+    assert np.array_equal(stepper.A, ref.A)
+    assert np.array_equal(stepper.B, ref.B)
+    assert np.array_equal(stepper.E3, ref.E3)
+    assert np.array_equal(stepper.E5, ref.E5)
+    assert np.array_equal(stepper.D, ref.D)
+
+
+def assert_same_run(fun, t0, t1, y0, atol, t_eval):
+    got = stepper.dop853(fun, t0, t1, y0, atol, t_eval)
+    want = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=RTOL, atol=atol, t_eval=t_eval)
+    assert (got.status, got.nfev) == (want.status, want.nfev)
+    assert np.array_equal(got.t, want.t)
+    assert np.array_equal(got.y, want.y)
+    assert got.y.flags.f_contiguous == want.y.flags.f_contiguous
+    assert got.y.flags.c_contiguous == want.y.flags.c_contiguous
+    return got, want
+
+
+@pytest.mark.parametrize("m,n,s_max", [(3, 3, 200.0), (2, 100, 20.0)])
+def test_profile_run_matches_solve_ivp(m, n, s_max):
+    spec = ConeSpec(m, n)
+    s = ShootingConfig(spec=spec, s_max=s_max, grid_step=1e-3).grid()
+    got, _ = assert_same_run(lambda ss, y: _rhs(ss, y, spec), s[0], s[-1],
+                             _series_start(spec, 1e-3), RTOL * 1e-2, s)
+    assert got.status == 0 and not got.y.flags.c_contiguous
+
+
+def test_jacobi_runs_match_solve_ivp(monkeypatch):
+    """Both IVPs of solve_jacobi, the 5-state psi solve and the middle pair,
+    re-run through solve_ivp with the same right-hand side and data."""
+    calls = []
+    run = stepper.dop853
+    monkeypatch.setattr(stepper, "dop853", lambda *a: calls.append(a) or run(*a))
+    solve_jacobi(ShootingConfig(spec=ConeSpec(3, 3), s_max=20.0, grid_step=1e-2))
+    monkeypatch.undo()
+    assert [len(args[3]) for args in calls] == [5, 4]
+    for args in calls:
+        assert_same_run(*args)
+
+
+def test_stall_matches_solve_ivp():
+    """y' = y^2 from y(0) = 1 blows up at t = 1: the step size collapses and
+    the run stops with scipy's status, message and samples."""
+    got, want = assert_same_run(lambda t, y: y * y, 0.0, 2.0, [1.0], 1e-12,
+                                np.linspace(0.0, 2.0, 21))
+    assert got.status == -1 and got.message == want.message
+    assert 0 < len(got.t) < 21

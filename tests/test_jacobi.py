@@ -88,6 +88,28 @@ class TestEmdenFowlerTransform:
             assert ef.t0 < ef.t1
 
 
+class TestQuadratureAndInterpolant:
+    """The numpy rules that the left and middle pairs are built on."""
+
+    def test_cumulative_matches_the_exact_antiderivative(self):
+        t = np.linspace(-1.0, 2.0, 3001)  # h = 1e-3
+        exact = np.exp(t) * (np.sin(3 * t) - 3 * np.cos(3 * t)) / 10
+        got = jacobi._cumulative(t, np.exp(t) * np.sin(3 * t))
+        assert got[0] == 0.0
+        assert np.max(np.abs(got - (exact - exact[0]))) <= 1e-10
+
+    @pytest.mark.parametrize("samples", [4, 9, 200])
+    def test_interpolant_reproduces_a_cubic(self, samples):
+        def cubic(x):
+            return 2.0 - x + 0.5 * x**2 - 0.25 * x**3
+
+        t = np.linspace(-3.0, 1.0, samples)
+        V = jacobi._cubic_interpolant(t, cubic(t))
+        x = np.linspace(-3.0, 1.0, 1001)
+        got = np.array([V(xx) for xx in x])
+        assert np.max(np.abs(got - cubic(x))) <= 1e-13 * np.max(np.abs(cubic(x)))
+
+
 class TestLeftFundamentalPair:
     def test_wronskian_is_one(self, jacobi_solutions):
         for (m, n), (curve, trace, sol) in jacobi_solutions.items():
@@ -252,12 +274,11 @@ class TestSolveJacobi:
                     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_one_ivp_for_the_middle_pair(self, short_configs, monkeypatch):
-        import scipy.integrate
+        from cjlab import dop853 as stepper
 
         calls = []
-        solve_ivp = scipy.integrate.solve_ivp
-        monkeypatch.setattr(scipy.integrate, "solve_ivp",
-                            lambda *a, **k: calls.append(len(a[2])) or solve_ivp(*a, **k))
+        run = stepper.dop853
+        monkeypatch.setattr(stepper, "dop853", lambda *a: calls.append(len(a[3])) or run(*a))
         solve_jacobi(short_configs[(2, 2)])
         assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the pair
 
