@@ -19,10 +19,11 @@ OverflowError into exit 2.
 
 Only the standard library, :mod:`cjlab.spectra` and :mod:`cjlab.io` are
 imported with this module, so ``cjl spectrum``, ``--help``, ``--version``
-and usage errors load no numpy.  :func:`check_inputs` binds the solver
-library (numpy and the :data:`_LIBRARY` names) once the spectrum and the
-sweep list are checked; ``cjlab.cli.<name>`` binds it too, and a name set
-on the module before that (a tracing wrapper, say) is kept.
+and usage errors load no numpy.  Once the spectrum and the sweep list are
+checked, :func:`check_inputs` binds the :data:`_LIBRARY` names of the
+modules the command runs on, so ``cjl plateau`` loads neither the profile
+nor the Jacobi solver; ``cjlab.cli.<name>`` binds that one name, and a
+name set on the module before that (a tracing wrapper, say) is kept.
 
 A run directory receives the data files plus ``manifest.json`` (config
 echo, tool version, wall time, sha256 checksums, summary metrics),
@@ -70,22 +71,35 @@ _LIBRARY = {
 }
 
 
-def _library() -> None:
-    """Import the solver library and bind its :data:`_LIBRARY` names here;
+#: the library modules each command past the spectrum runs on
+_RUNS_ON = {
+    "plateau": ("cjlab.plateau",),
+    "profile": ("numpy", "cjlab.profile"),
+    "jacobi": ("numpy", "cjlab.profile", "cjlab.jacobi"),
+    "report": ("numpy", "cjlab.decay", "cjlab.profile"),
+}
+
+
+def _library(command: str) -> None:
+    """Bind the :data:`_LIBRARY` names of the modules ``command`` runs on;
     a name already bound (a wrapper set on this module, say) stays."""
-    g = globals()
-    for name, (module, attr) in _LIBRARY.items():
-        if name not in g:
-            value = importlib.import_module(module)
-            g[name] = value if attr is None else getattr(value, attr)
+    for name, (module, _) in _LIBRARY.items():
+        if module in _RUNS_ON[command] and name not in globals():
+            _bind(name)
+
+
+def _bind(name: str):
+    module, attr = _LIBRARY[name]
+    value = importlib.import_module(module)
+    globals()[name] = value = value if attr is None else getattr(value, attr)
+    return value
 
 
 def __getattr__(name: str):
-    """``cjlab.cli.<library name>`` binds the library first (PEP 562)."""
+    """``cjlab.cli.<library name>`` imports its module and binds that name (PEP 562)."""
     if name not in _LIBRARY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _library()
-    return globals()[name]
+    return _bind(name)
 
 
 EXIT_OK = 0
@@ -223,7 +237,7 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
                 return RunConfig(command, v, spec=spec, spectral=indicial_data(
                     spec, link_eigenvalues(spec, v["count"])))
         specs = parse_sweep(v["specs"]) if command == "report" else ()
-        _library()
+        _library(command)
         if command == "plateau":
             graph = plateau_profile(v["N"], v["R"], v["r_max"])
             return RunConfig(command, v, plateau=(graph, *plateau_zeta0(graph),

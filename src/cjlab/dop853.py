@@ -5,14 +5,19 @@ Dormand and Prince's 8(5,3) pair with its 7th-order dense output
 section II.5), stepped at relative tolerance :data:`cjlab.profile.RTOL`
 and sampled on a grid.  The initial-step rule, the step controller
 (safety 0.9, factors 0.2 to 10, exponent -1/8) and every array operation
-follow ``scipy.integrate.solve_ivp(method="DOP853", t_eval=...)`` in the
-same numpy order, so the samples, the evaluation count and the stall
-message are those of scipy to the bit; the test suite checks this with
-scipy as the oracle.  Only numpy is imported.
+follow ``scipy.integrate.solve_ivp(method="DOP853", t_eval=...)``: the
+stage sums, the error norms and the dense output's per-sample operations
+are scipy's numpy operations in scipy's order, and the scalar step
+control (t, h, the error norm) runs on Python floats, whose arithmetic,
+``math`` functions and ``**`` give the bits of numpy's float64 scalars.
+So the samples, the evaluation count and the stall message are those of
+scipy to the bit; the test suite checks this with scipy as the oracle.
+Only numpy is imported.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -125,14 +130,16 @@ def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
     d2 = _norm((rhs(t + h0, y + h0 * f) - f) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** 0.125)
-    h_abs = min(100 * h0, h1, t1 - t)
+    h_abs = float(min(100 * h0, h1, t1 - t))
     nfev = 2
 
+    c = C.tolist()
+    a = [A[s, :s] for s in range(16)]
     K = np.empty((16, n))  # stages 0-11, f at the step's end, dense-output stages
     out = np.empty((len(t_eval), n))
     done = 0  # samples written
     while t < t1:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -140,20 +147,21 @@ def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
                 return Solution(t_eval[:done], out[:done].T, nfev, -1, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t1)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             K[0] = f
             for s in range(1, 12):
-                K[s] = rhs(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
+                K[s] = rhs(t + c[s] * h, y + np.dot(K[:s].T, a[s]) * h)
             y_new = y + h * np.dot(K[:12].T, B)
             K[12] = f_new = rhs(t + h, y_new)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            err5 = np.linalg.norm(np.dot(K[:13].T, E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K[:13].T, E3) / scale) ** 2
+            # squared on numpy scalars, which give inf where a float raises
+            err5 = float(np.linalg.norm(np.dot(K[:13].T, E5) / scale) ** 2)
+            err3 = float(np.linalg.norm(np.dot(K[:13].T, E3) / scale) ** 2)
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n)
+                error_norm = abs(h) * err5 / math.sqrt((err5 + 0.01 * err3) * n)
             if error_norm < 1:
                 factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
                 h_abs *= min(1, factor) if rejected else factor
@@ -167,20 +175,22 @@ def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
         if end == done:
             continue
         for s in range(13, 16):
-            K[s] = rhs(t_old + C[s] * h, y_old + np.dot(K[:s].T, A[s, :s]) * h)
+            K[s] = rhs(t_old + c[s] * h, y_old + np.dot(K[:s].T, a[s]) * h)
         nfev += 3
         F = np.empty((7, n))
         F[0] = dy = y - y_old
         F[1] = h * f_old - dy
         F[2] = 2 * dy - h * (f + f_old)
         F[3:] = h * np.dot(D, K)
-        # Horner-like evaluation in x and 1 - x, in place in the output rows
-        x = ((t_eval[done:end] - t_old) / h)[:, None]
-        ys = out[done:end]
-        ys.fill(0.0)
-        for i, Fi in enumerate(F[::-1]):
+        # Horner-like evaluation in x and 1 - x, one sample per column, so
+        # that each operation runs along the step's samples
+        x = (t_eval[done:end] - t_old) / h
+        one_minus_x = 1 - x
+        ys = np.zeros((n, end - done))
+        for i, Fi in enumerate(F[::-1, :, None]):
             ys += Fi
-            ys *= x if i % 2 == 0 else 1 - x
-        ys += y_old
+            ys *= x if i % 2 == 0 else one_minus_x
+        ys += y_old[:, None]
+        out[done:end] = ys.T
         done = end
     return Solution(t_eval[:done], out[:done].T, nfev, 0, None)

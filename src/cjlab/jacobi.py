@@ -226,17 +226,27 @@ def _cumulative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _cubic_interpolant(t: np.ndarray, v: np.ndarray) -> Callable[[float], float]:
-    """x -> the Lagrange cubic through the samples (t, v) at the four grid
-    points nearest x on the uniform grid t (all of them if t has fewer)."""
-    t, v = t.tolist(), v.tolist()
-    k = min(4, len(t))
-    h = (t[-1] - t[0]) / (len(t) - 1)
+    """x -> the Lagrange cubic through the samples v at the four points of
+    the uniform grid t nearest x (the line or parabola through all of them
+    if t has 2 or 3).  The weights are polynomials in r = (x - t[0]) / h,
+    so where the nodes lie at exact multiples of h from t[0] the samples
+    are returned exactly there."""
+    t0, v = float(t[0]), v.tolist()
+    h = (float(t[-1]) - t0) / (len(v) - 1)
+    if len(v) < 4:
+        nodes = range(len(v))
+        return lambda x: sum(v[i] * math.prod(((x - t0) / h - l) / (i - l) for l in nodes if l != i)
+                             for i in nodes)
+    last = len(v) - 4
 
     def at(x: float) -> float:
-        j = min(max(int((x - t[0]) / h) - 1, 0), len(t) - k)
-        nodes = range(j, j + k)
-        return sum(v[i] * math.prod((x - t[l]) / (t[i] - t[l]) for l in nodes if l != i)
-                   for i in nodes)
+        r = (x - t0) / h
+        j = min(max(int(r) - 1, 0), last)
+        r -= j
+        v0, v1, v2, v3 = v[j : j + 4]
+        p, q = r * (r - 1.0), (r - 2.0) * (r - 3.0)
+        return ((1.0 - r) * q / 6.0 * v0 + r * q / 2.0 * v1
+                + p * (3.0 - r) / 2.0 * v2 + p * (r - 2.0) / 6.0 * v3)
 
     return at
 
@@ -327,14 +337,20 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
 
     def rhs(tt, y):
         nonlocal last_s
-        if not all(map(math.isfinite, y)):  # NaN would otherwise run out the budget
+        state = y.tolist()
+        if not all(map(math.isfinite, state)):  # NaN would otherwise run out the budget
             raise IntegrationFailure("psi solve: non-finite state", last_s=last_s)
         ss = math.exp(tt)
         last_s = max(last_s, ss)
         if next(calls) > MAX_PSI_NFEV:
             raise IntegrationFailure(f"psi solve: over {MAX_PSI_NFEV} right-hand-side evaluations",
                                      last_s=last_s)
-        a, b, phi, psi, psi_t = y
+        try:
+            return rhs_at(ss, *state)
+        except ArithmeticError:  # a float raises on x / 0 or x**2 past the range; numpy gives inf
+            return rhs_at(ss, *y)
+
+    def rhs_at(ss, a, b, phi, psi, psi_t):
         ap, bp = math.cos(phi), math.sin(phi)
         dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
         force = trA3 if f is None else f(ss, a, b, phi)
@@ -360,9 +376,15 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     left = left_fundamental_pair(ef)
     t_mid = t[ef.i0 : ef.i1 + 1]
     V = _cubic_interpolant(t_mid, ef.V[ef.i0 : ef.i1 + 1])
+
+    def pair_rhs(tt, y):
+        u, w, du, dw = y.tolist()
+        v = V(tt)
+        return [du, dw, -v * u, -v * w]
+
     with np.errstate(all="ignore"):  # a NaN drift shows it
-        vp, vm, dvp, dvm = dop853(lambda tt, y: np.concatenate([y[2:], -V(tt) * y[:2]]),
-                                  t_mid[0], t_mid[-1], [1.0, 0.0, 0.0, 1.0], atol, t_mid).y
+        vp, vm, dvp, dvm = dop853(pair_rhs, t_mid[0], t_mid[-1], [1.0, 0.0, 0.0, 1.0],
+                                  atol, t_mid).y
     resid = _fd_residual(curve, trace, f_grid, psi)
     return JacobiSolution(
         s=s,

@@ -143,7 +143,13 @@ def _series_start(spec: ConeSpec, eps: float) -> list[float]:
 
 
 def _rhs(s: float, y: np.ndarray, spec: ConeSpec):
-    a, b, phi = y
+    try:
+        return _rhs_at(spec, *y.tolist())
+    except ArithmeticError:  # a float raises on x / 0 or x**2 past the range; numpy gives inf
+        return _rhs_at(spec, *y)
+
+
+def _rhs_at(spec: ConeSpec, a, b, phi) -> list:
     ap, bp = math.cos(phi), math.sin(phi)
     return [ap, bp, curvature_terms(spec, a, b, ap, bp)[0]]
 
@@ -200,9 +206,9 @@ def curvature_terms(spec: ConeSpec, a, b, ap, bp):
 
     The one place these terms are formed: the profile right-hand side,
     the Jacobi solve and :func:`geometry_trace` all evaluate them here.
-    Floats give floats, numpy scalars (the state components the
-    integrator hands both right-hand sides) give numpy scalars, and
-    arrays give arrays.
+    Floats give floats (both right-hand sides unpack the integrator's
+    state into floats), numpy scalars give numpy scalars with the same
+    bits, and arrays give arrays.
     """
     m, n = spec.m, spec.n
     dphi = (n - 1) * ap / b - (m - 1) * bp / a
@@ -253,7 +259,7 @@ def geometry_trace(curve: ProfileCurve) -> GeometryTrace:
         dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
         zeta0 = a * bp - ap * b
         dphi_fd = _fd_derivative_log(curve.t, phi) / s
-        Hres = dphi_fd + (m - 1) * np.sin(phi) / a - (n - 1) * np.cos(phi) / b
+        Hres = dphi_fd + (m - 1) * bp / a - (n - 1) * ap / b
         app, bpp = -bp * dphi, ap * dphi
         alpha_prime = (m - 1) * (app / a - (ap / a) ** 2) + (n - 1) * (bpp / b - (bp / b) ** 2)
         dzeta0_dt = s * dphi * (a * ap + b * bp)

@@ -544,14 +544,15 @@ def run_fresh(script: str, *args: str) -> dict:
 class TestImportLayering:
     """The cheap paths (import, spectrum, --help, --version and usage
     errors) load neither numpy nor scipy, the closed-form plateau loads
-    numpy alone, and no command loads scipy: the integrating ones run on
-    the package's own stepper, which nothing else loads."""
+    numpy but neither the profile nor the Jacobi solver, and no command
+    loads scipy: the integrating ones run on the package's own stepper,
+    which nothing else loads."""
 
     LOADED = """
 import json, sys
 def loaded():
     return sorted({k.split(".")[0] for k in sys.modules} & {"numpy", "scipy"}
-                  | {"cjlab.dop853"} & sys.modules.keys())
+                  | {"cjlab.dop853", "cjlab.jacobi", "cjlab.profile"} & sys.modules.keys())
 """
     SCRIPT = LOADED + """
 import cjlab, cjlab.cli
@@ -581,18 +582,19 @@ print(json.dumps(steps))
                          "usage_error": [2, []], "empty_sweep": [2, []], "io_error": [3, []],
                          "help": [0, []], "version": [0, []], "plateau": [0, ["numpy"]]}
 
-    @pytest.mark.parametrize("argv", [
-        ["profile", "--m", "3", "--n", "3"],
-        ["jacobi", "--m", "3", "--n", "3", "--s-max", "300", "--grid-step", "1e-3"],
-        ["report", "--specs", "2,2"],
+    @pytest.mark.parametrize("argv,solvers", [
+        (["profile", "--m", "3", "--n", "3"], ["cjlab.profile"]),
+        (["jacobi", "--m", "3", "--n", "3", "--s-max", "300", "--grid-step", "1e-3"],
+         ["cjlab.jacobi", "cjlab.profile"]),
+        (["report", "--specs", "2,2"], ["cjlab.profile"]),
     ], ids=["profile", "jacobi", "report"])
-    def test_integrating_commands_load_no_scipy(self, argv, tmp_path):
+    def test_integrating_commands_load_no_scipy(self, argv, solvers, tmp_path):
         steps = run_fresh(self.LOADED + """
 import cjlab.cli
 rc = cjlab.cli.main(sys.argv[1:])
 print(json.dumps([rc, loaded()]))
 """, *argv, "--out", str(tmp_path / "o"))
-        assert steps == [0, ["cjlab.dop853", "numpy"]]
+        assert steps == [0, ["cjlab.dop853", *solvers, "numpy"]]
 
 
 class TestLazyLibrary:

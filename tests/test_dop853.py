@@ -43,15 +43,25 @@ def test_profile_run_matches_solve_ivp(m, n, s_max):
 
 def test_jacobi_runs_match_solve_ivp(monkeypatch):
     """Both IVPs of solve_jacobi, the 5-state psi solve and the middle pair,
-    re-run through solve_ivp with the same right-hand side and data."""
+    re-run through solve_ivp with the same right-hand side and data: on
+    the grid h = 1e-2; on h = 1e-4, where a step holds hundreds of samples
+    as at the default settings; and on every 500th point of the latter,
+    where some steps hold none and skip the dense output."""
     calls = []
     run = stepper.dop853
     monkeypatch.setattr(stepper, "dop853", lambda *a: calls.append(a) or run(*a))
-    solve_jacobi(ShootingConfig(spec=ConeSpec(3, 3), s_max=20.0, grid_step=1e-2))
+    for h in (1e-2, 1e-4):
+        solve_jacobi(ShootingConfig(spec=ConeSpec(3, 3), s_max=20.0, grid_step=h))
     monkeypatch.undo()
-    assert [len(args[3]) for args in calls] == [5, 4]
-    for args in calls:
+    assert [len(args[3]) for args in calls] == [5, 4, 5, 4]
+    for args in calls[:2]:
         assert_same_run(*args)
+    for args in calls[2:]:
+        full, _ = assert_same_run(*args)
+        # over 100 samples per step, each step taking at least 12 evaluations
+        assert len(full.t) > 100 * (full.nfev - 2) / 12
+        coarse, _ = assert_same_run(*args[:5], args[5][::500])
+        assert coarse.nfev < full.nfev  # the steps are the same: some drew no dense output
 
 
 def test_stall_matches_solve_ivp():

@@ -109,6 +109,28 @@ class TestQuadratureAndInterpolant:
         got = np.array([V(xx) for xx in x])
         assert np.max(np.abs(got - cubic(x))) <= 1e-13 * np.max(np.abs(cubic(x)))
 
+    @pytest.mark.parametrize("samples", [2, 3, 4, 9])
+    def test_interpolant_returns_the_samples_at_the_nodes(self, samples):
+        """On every window of a grid whose nodes lie at exact multiples of
+        its spacing, so that each node is in turn the first and the last."""
+        t = -2.0 + 0.125 * np.arange(300)
+        v = np.random.default_rng(samples).uniform(-10.0, 10.0, 300)
+        for j in range(300 - samples + 1):
+            window = slice(j, j + samples)
+            V = jacobi._cubic_interpolant(t[window], v[window])
+            assert [V(x) for x in t[window].tolist()] == v[window].tolist()
+
+    @pytest.mark.parametrize("samples", [2, 3])
+    def test_interpolant_on_fewer_than_4_samples_goes_through_all(self, samples):
+        """A 2- or 3-sample interval gives the line or parabola through every sample."""
+        def poly(x):
+            return 1.5 - x + (0.75 * x**2 if samples == 3 else 0.0)
+
+        t = np.linspace(-0.3, 0.5, samples)
+        V = jacobi._cubic_interpolant(t, poly(t))
+        x = np.linspace(-0.4, 0.6, 101)  # a little beyond both ends
+        assert np.max(np.abs([V(xx) - poly(xx) for xx in x])) <= 1e-14
+
 
 class TestLeftFundamentalPair:
     def test_wronskian_is_one(self, jacobi_solutions):

@@ -18,7 +18,13 @@ from cjlab import (
     jacobi_field_translation,
 )
 from cjlab.decay import fit_power_law
-from cjlab.profile import MAX_GRID_SAMPLES, _series_start, arc_length_defect, curvature_terms
+from cjlab.profile import (
+    MAX_GRID_SAMPLES,
+    _rhs,
+    _series_start,
+    arc_length_defect,
+    curvature_terms,
+)
 
 
 def tiny_start_oracle(m, n, start_axis, eps):
@@ -247,6 +253,29 @@ class TestCurvatureTerms:
         a, b, phi = _series_start(spec, 1e-3)
         terms = curvature_terms(spec, a, b, math.cos(phi), math.sin(phi))
         assert [type(x) for x in terms] == [float] * 4
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3)])
+    def test_floats_and_numpy_scalars_give_the_same_bits(self, m, n):
+        """The right-hand sides unpack the state into floats; the terms are
+        those of numpy scalars to the bit, on both tr A^3 branches."""
+        spec = ConeSpec(m, n)
+        rng = np.random.default_rng(m)
+        points = rng.uniform([0.01, 0.01, 0.0], [100.0, 100.0, np.pi / 2], (500, 3))
+        for a, b, phi in points.tolist():
+            ap, bp = math.cos(phi), math.sin(phi)
+            assert curvature_terms(spec, a, b, ap, bp) == curvature_terms(
+                spec, np.float64(a), np.float64(b), ap, bp)
+
+    @pytest.mark.parametrize("b", [0.0, 1e-160])
+    def test_rhs_gives_numpys_result_where_floats_raise(self, b):
+        """At b = 0 a float division raises, and at b = 1e-160 phi'^2 leaves
+        the float range; the profile right-hand side then gives what numpy
+        scalars give, as the integrator's trial stages may ask for it."""
+        spec = ConeSpec(3, 3)
+        ap, bp = math.cos(1.0), math.sin(1.0)
+        with np.errstate(all="ignore"):
+            want = curvature_terms(spec, np.float64(1.0), np.float64(b), ap, bp)[0]
+            assert _rhs(0.0, np.array([1.0, b, 1.0]), spec) == [ap, bp, want]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 50])
     def test_m_is_n_plus_1_closed_form(self, n):
