@@ -21,8 +21,9 @@ Only the standard library, :mod:`cjlab.spectra` and :mod:`cjlab.io` are
 imported with this module, so ``cjl spectrum``, ``--help``, ``--version``
 and usage errors load no numpy.  Once the spectrum and the sweep list are
 checked, :func:`check_inputs` binds the :data:`_LIBRARY` names of the
-modules the command runs on, so ``cjl plateau`` loads neither the profile
-nor the Jacobi solver; ``cjlab.cli.<name>`` binds that one name, and a
+modules the command runs on, so ``cjl plateau``, whose closed form runs on
+Python floats, loads no numpy and neither the profile nor the Jacobi
+solver; ``cjlab.cli.<name>`` binds that one name, and a
 name set on the module before that (a tracing wrapper, say) is kept.
 
 A run directory receives the data files plus ``manifest.json`` (config
@@ -212,8 +213,9 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
     from flags and config file, and build the library objects it runs on
     (their constructors check them); ConfigError on any bad input.
 
-    The spectrum and the plateau graph with its zeta_0 fit take milliseconds,
-    so they are computed here and their own errors are the check."""
+    The spectrum and the plateau graph with its zeta_0 fit and flux residual
+    take milliseconds, so they are computed here and their own errors are
+    the check; the plateau CSV reuses the residual the graph keeps."""
     options = {o.name: o for o in OPTIONS if command in o.defaults}
     unknown = sorted(raw.keys() - options.keys())
     if unknown:

@@ -4,15 +4,21 @@ Fits log|y| = c + e*log(r) (+ d*log(log r)) by least squares over a
 radial window.  Oscillatory signals are first reduced to their local
 maxima envelope, so that the fitted ``e`` estimates the decay exponent
 of the envelope rather than averaging through the zeros.
+
+numpy is imported by the functions that use it, not with the module, so
+:mod:`cjlab.plateau` shares :class:`DecayFit` and :data:`MIN_FIT_SAMPLES`
+without loading it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from cjlab.spectra import SpectralData
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DecayFit", "fit_power_law", "classify_against_indicial", "envelope_maxima"]
 
@@ -48,6 +54,8 @@ def envelope_maxima(r: np.ndarray, y: np.ndarray) -> np.ndarray:
     of near-equal samples produced by roundoff collapse to their largest
     member.
     """
+    import numpy as np
+
     ay = np.abs(y)
     # collapse runs of exactly equal values: near a smooth peak the
     # sample-to-sample variation can drop below the roundoff quantum of
@@ -73,6 +81,8 @@ def envelope_maxima(r: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _lstsq_fit(logr: np.ndarray, logy: np.ndarray, with_log: bool) -> tuple[float, float, float]:
+    import numpy as np
+
     cols = [np.ones_like(logr), logr]
     if with_log:
         cols.append(np.log(np.abs(logr)))
@@ -94,6 +104,8 @@ def fit_power_law(r: np.ndarray, y: np.ndarray, window: tuple[float, float],
     coefficient is reported as ``log_coeff``; the window must then lie
     on one side of r = 1 so that log r keeps a fixed sign.
     """
+    import numpy as np
+
     r = np.asarray(r, dtype=float)
     y = np.asarray(y, dtype=float)
     if r.shape != y.shape:
@@ -141,7 +153,7 @@ def classify_against_indicial(fit: DecayFit, spectral: SpectralData) -> dict:
     if not roots:
         raise ValueError("empty indicial root set")
     gaps = [abs(root - fit.exponent) for root in roots]
-    k = int(np.argmin(gaps))
+    k = gaps.index(min(gaps))
     # roots are symmetric about -(N-2)/2; recover N from the pair centre.
     centre = 0.5 * (spectral.indicial_roots[0][0] + spectral.indicial_roots[0][1])
     N = 2 - 2 * centre

@@ -100,7 +100,10 @@ class Solution(NamedTuple):
     """Samples of a :func:`dop853` run."""
 
     t: np.ndarray  # the points of t_eval reached
-    y: np.ndarray  # (n, len(t)): the transpose of a C-ordered array, like scipy's
+    #: (n, len(t)), F-ordered: the transpose of a C-ordered (len(t), n) buffer.
+    #: scipy's y has this layout when a step holds two or more samples; when
+    #: none does, its np.hstack of (n, 1) columns is C-ordered, same values.
+    y: np.ndarray
     nfev: int
     status: int  # 0: reached t1; -1: the step fell below the float spacing near t
     message: str | None  # TOO_SMALL_STEP when status is -1

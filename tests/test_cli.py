@@ -318,6 +318,8 @@ class TestBadInputsExit2:
         ["jacobi", "--m", "2", "--n", "1000000"],
         ["report", "--specs", "2,2;2,2"],
         ["plateau", "--N", "3", "--R", "5e-320"],
+        ["plateau", "--N", "12", "--R", "1e30"],  # R^(N-1) overflows
+        ["plateau", "--N", "3", "--r-max", "1e162"],  # 13 samples in the fit window
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     def test_one_line_error(self, argv, tmp_path, capsys):
@@ -543,10 +545,10 @@ def run_fresh(script: str, *args: str) -> dict:
 
 class TestImportLayering:
     """The cheap paths (import, spectrum, --help, --version and usage
-    errors) load neither numpy nor scipy, the closed-form plateau loads
-    numpy but neither the profile nor the Jacobi solver, and no command
-    loads scipy: the integrating ones run on the package's own stepper,
-    which nothing else loads."""
+    errors) and the closed-form plateau, evaluated on Python floats, load
+    neither numpy nor scipy, and the plateau loads neither the profile nor
+    the Jacobi solver.  No command loads scipy: the integrating ones run on
+    the package's own stepper, which nothing else loads."""
 
     LOADED = """
 import json, sys
@@ -580,7 +582,13 @@ print(json.dumps(steps))
         steps = run_fresh(self.SCRIPT, str(tmp_path / "o"), str(tmp_path / "blocked"))
         assert steps == {"import": [None, []], "spectrum": [0, []], "spectrum_csv": [0, []],
                          "usage_error": [2, []], "empty_sweep": [2, []], "io_error": [3, []],
-                         "help": [0, []], "version": [0, []], "plateau": [0, ["numpy"]]}
+                         "help": [0, []], "version": [0, []], "plateau": [0, []]}
+
+    def test_plateau_module_loads_no_numpy(self):
+        assert run_fresh(self.LOADED + """
+import cjlab.plateau
+print(json.dumps(loaded()))
+""") == []
 
     @pytest.mark.parametrize("argv,solvers", [
         (["profile", "--m", "3", "--n", "3"], ["cjlab.profile"]),
@@ -751,6 +759,16 @@ class TestPlateauCommand:
         # zeta_0 is subnormal but nonzero in the fit window; the fit still runs
         # (a NaN flux residual exits 4)
         assert main(["plateau", "--N", str(N), "--R", repr(R), "--out", str(tmp_path / "o")]) == code
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
+    def test_flux_overflow_exits_4_on_nan(self, tmp_path, capsys):
+        # past r ~ 1e77, r^(N-1) = r^4 is inf where v' = -q/sqrt(1 - q^2) has
+        # underflowed to -0, and inf * -0 is NaN; the scaled form (r/R)^4 v'
+        # is the same product there, so it would not remove the NaN
+        assert main(["plateau", "--N", "5", "--r-max", "1e100",
+                     "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical target missed: flux residual nan exceeds 1.0e-10"]
 
     def test_bad_geometry_exits_2(self, tmp_path):
         assert main(["plateau", "--N", "3", "--R", "5", "--r-max", "2",

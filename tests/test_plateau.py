@@ -1,10 +1,15 @@
+import math
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cjlab.plateau
 from cjlab import (
     alpha_of_R,
+    decay,
     minimal_graph_residual,
     plateau_profile,
     plateau_zeta0,
@@ -57,9 +62,10 @@ class TestPlateauProfile:
 
     def test_monotone_positive(self):
         graph = plateau_profile(3, 1.0, 2000.0)
-        assert np.all(graph.v > 0)
-        assert np.all(graph.dv < 0)
-        assert np.all(np.diff(graph.v) < 0)
+        v = np.asarray(graph.v)
+        assert np.all(v > 0)
+        assert np.all(np.asarray(graph.dv) < 0)
+        assert np.all(np.diff(v) < 0)
 
     def test_gradient_blowup_at_boundary(self):
         for N in (3, 5):
@@ -82,12 +88,12 @@ class TestPlateauProfile:
 
     def test_subharmonic_bound(self):
         graph = plateau_profile(4, 1.0, 2000.0)
-        assert np.max(graph.r ** (graph.N - 2) * graph.v) < 2.0 * graph.alphaR
+        assert np.max(np.asarray(graph.r) ** (graph.N - 2) * graph.v) < 2.0 * graph.alphaR
 
     def test_exact_derivative_value(self):
         # v'(2) = -(1/4)/sqrt(1 - 1/16) for N = 3, R = 1
         graph = plateau_profile(3, 1.0, 10.0)
-        i = np.argmin(np.abs(graph.r - 2.0))
+        i = np.argmin(np.abs(np.asarray(graph.r) - 2.0))
         want = -(2.0 ** (1 - 3)) / np.sqrt(1 - 2.0 ** (2 * (1 - 3)))
         assert graph.dv[i] == pytest.approx(want, rel=5e-3)
         assert want == pytest.approx(-0.25 / np.sqrt(1 - 1 / 16), rel=1e-15)
@@ -101,9 +107,10 @@ class TestPlateauProfile:
 
     def test_flux_residual_array_and_sup(self):
         graph = plateau_profile(5, 1.5, 3000.0)
-        flux = graph.r**4 * graph.dv / np.sqrt(1.0 + graph.dv**2)
-        assert np.array_equal(graph.flux_residual, np.abs(flux + 1.5**4))
-        assert minimal_graph_residual(graph) == np.max(graph.flux_residual)
+        flux = [r**4 * dv / math.sqrt(1.0 + dv * dv) for r, dv in zip(graph.r, graph.dv)]
+        assert graph.flux_residual == [abs(f + 1.5**4) for f in flux]
+        assert graph.flux_residual is graph.flux_residual  # computed once
+        assert minimal_graph_residual(graph) == max(graph.flux_residual)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -160,7 +167,7 @@ class TestClosedFormOracle:
         # q = (R/r)^2 is subnormal or zero on the last ~100 samples, where
         # v ~ R/r is still a normal float: v keeps full precision there
         graph = plateau_profile(3, 1.0, 1e162)
-        q = (1.0 / graph.r) ** 2
+        q = (1.0 / np.asarray(graph.r)) ** 2
         tiny_q = np.nonzero(q < np.finfo(float).tiny)[0]
         assert len(tiny_q) > 90 and q[-1] == 0.0
         for i in [*tiny_q, *range(0, len(graph.r), 100)]:
@@ -187,7 +194,7 @@ class TestPlateauZeta0:
     def test_decay_exponent_is_two_minus_N(self, N):
         graph = plateau_profile(N, 1.0, 2000.0)
         zeta0, fit = plateau_zeta0(graph)
-        assert np.all(zeta0 > 0)
+        assert np.all(np.asarray(zeta0) > 0)
         assert fit.exponent == pytest.approx(2 - N, abs=0.02)
 
     def test_coefficient_limit(self):
@@ -210,3 +217,72 @@ class TestPlateauZeta0:
         spectral = indicial_data(ConeSpec(2, 2), link_eigenvalues(ConeSpec(2, 2), 6))
         cls = classify_against_indicial(fit, spectral)
         assert not cls["nondegenerate_candidate"]
+
+
+def numpy_graph(N, R, r):
+    """q, v, v' and zeta_0 on the grid r by the numpy formulas the float port replaced."""
+    R_over_r = R / r
+    q = R_over_r ** (N - 1)
+    dv = -q / np.sqrt(1.0 - q * q)
+    a = 0.5 - 0.5 / (N - 1)
+    beta = math.exp(math.lgamma(a) + math.lgamma(0.5) - math.lgamma(a + 0.5))
+    x = q * q
+    lower = x <= 0.5
+    y = np.where(lower, x, 1.0 - x)
+    p = np.where(lower, a, 0.5)
+    k = np.arange(59)
+    series = 1.0 + np.cumprod((a + 0.5 + k) / (p[:, None] + 1.0 + k) * y[:, None], axis=-1).sum(-1)
+    with np.errstate(invalid="ignore"):  # sqrt(y) of the discarded branch
+        q_2a = np.where(q < np.finfo(float).tiny, R_over_r ** (N - 2), q ** (2.0 * a))
+        y_p = np.where(lower, q_2a, np.sqrt(y))
+    part = y_p * (1.0 - y) ** (a + 0.5 - p) / (p * beta) * series
+    v = R / (N - 1) * 0.5 * beta * np.where(lower, part, 1.0 - part)
+    return q, v, dv, (-r * dv + v) / np.sqrt(1.0 + dv**2)
+
+
+def ulps(want, got):
+    """|want - got| in units of the spacing of the larger of the two."""
+    got = np.asarray(got)
+    return np.abs(want - got) / np.spacing(np.maximum(np.abs(want), np.abs(got)))
+
+
+class TestNumpyOracle:
+    """The float evaluation against the numpy one it replaced: numpy's pow and
+    log10 are not C's, so they agree to rounding, not bit for bit."""
+
+    CASES = ([(N, 0.5 + 0.25 * k, 2.0e3 * (0.5 + 0.25 * k))  # the benchmark's plateau ops
+              for N in range(3, 13) for k in range(10)]
+             + [(140, 1.0, 2.0e3), (3, 5e-310, 1e-306), (3, 1.0, 1e162)])
+
+    @pytest.mark.parametrize("N,R,r_max", CASES)
+    def test_grid_and_fields_match_numpy(self, N, R, r_max, monkeypatch):
+        graph = plateau_profile(N, R, r_max)
+        r = np.asarray(graph.r)
+        # a last-place change in log10(r) moves r by ln(10) |log10 r| ulps
+        want = np.geomspace(R * (1.0 + 1e-7), r_max, 2000)
+        assert np.all(ulps(want, r) <= 4.0 * (1.0 + np.abs(np.log10(r))))
+        # on the same grid: a last-place change in R/r moves q = (R/r)^{N-1}
+        # by N - 1 ulps, and 1 - q^2 (near r = R) by (N - 1) / (1 - q^2)
+        q, *fields = numpy_graph(N, R, r)
+        monkeypatch.setattr(cjlab.plateau, "fit_power_law", lambda *args: None)
+        zeta0, _ = plateau_zeta0(graph)  # also where the window holds too few samples
+        bound = 8.0 * (N - 1) / (1.0 - q * q)
+        for want, got in zip(fields, (graph.v, graph.dv, zeta0)):
+            assert np.all(ulps(want, got) <= bound)
+
+    @pytest.mark.parametrize("N,R,r_max", CASES)
+    def test_fit_matches_decay_fit(self, N, R, r_max):
+        graph = plateau_profile(N, R, r_max)
+        zeta0 = [(-x * d + v) / math.sqrt(1.0 + d * d) for x, v, d in zip(graph.r, graph.v, graph.dv)]
+        window = (1.0e2 * R, 1.0e3 * R)
+        try:
+            want = decay.fit_power_law(graph.r, zeta0, window)
+        except ValueError as exc:  # r_max = 1e162 leaves 13 samples in the window
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                plateau_zeta0(graph)
+            return
+        got_zeta0, fit = plateau_zeta0(graph)
+        assert got_zeta0 == zeta0 and not want.oscillatory
+        assert abs(fit.exponent - want.exponent) <= 1e-12
+        assert (fit.log_coeff, fit.window, fit.oscillatory) == (0.0, window, False)
+        assert abs(fit.residual_rms - want.residual_rms) <= 1e-12  # both at rounding level
