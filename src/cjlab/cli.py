@@ -42,7 +42,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -120,9 +119,10 @@ SWEEP_GRID_STEP = 1e-3
 
 #: regime -> (s_max, fit window) of the sweep.  Stable specs are fitted raw
 #: on [50, 200]; oscillatory ones by their local-maxima envelope over
-#: (5, 3e5), the region where the signal sits above the integrator's
-#: roundoff floor (~RTOL * s in zeta_0 = a b' - a' b).  Five envelope peaks
-#: fit in that window for every low-dimension spec.
+#: (5, 3e5), meant to keep the signal above the integrator's roundoff floor
+#: (~RTOL * s in zeta_0 = a b' - a' b).  It does not for every spec: five
+#: envelope maxima clear that floor on (2,2), (2,3), (3,2) and (2,4), four on
+#: (3,3) and (4,2), and two or three on the N = 6 specs (README, Numerical notes).
 _SWEEP = {"high_dim": (240.0, (50.0, 200.0)), "low_dim": (4.0e5, (5.0, 3.0e5))}
 
 
@@ -144,8 +144,7 @@ class Option(NamedTuple):
         return "--" + self.name.replace("_", "-")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """A checked run: the options its command reads, defaults filled in,
     and the library objects built (or, where cheap, computed) from them."""
 
@@ -271,7 +270,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> Outcome:
     spec, data = cfg.spec, cfg.spectral
     if cfg.values["format"] == "json":
         path = out / "spectrum.json"
-        write_json(path, asdict(data))
+        write_json(path, data._asdict())
     else:
         path = out / "spectrum.csv"
         write_csv(
@@ -379,7 +378,6 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
         "t1": sol.ef.t1,
         "psi_atol": sol.atol,
         "psi_nfev": sol.nfev,
-        "wronskian_drift_left": sol.left_pair.wronskian_drift,
         "wronskian_drift_middle": sol.middle_pair.wronskian_drift,
         "near_origin_exponent": origin.exponent,
         "log_detected": origin.log_detected,
@@ -432,7 +430,7 @@ def sweep_row(curve: ProfileCurve, trace: GeometryTrace) -> dict:
         "nearest_root": cls["nearest_root"],
         "gap": cls["gap"],
         "crossings": cone_crossings(short),
-        "fit": {**asdict(fit), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
+        "fit": {**fit._asdict(), "nearest_root": cls["nearest_root"], "gap": cls["gap"]},
     }
 
 

@@ -12,8 +12,7 @@ without loading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from cjlab.spectra import SpectralData
 
@@ -34,8 +33,7 @@ MIN_ENVELOPE_MAXIMA = 5
 MIN_FIT_SAMPLES = 20
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     """Result of a log-log decay fit."""
 
     exponent: float

@@ -30,7 +30,9 @@ CSV is one ``%`` format per row.  The vectorised cells are the same bytes:
   exponent of at least two digits.
 
 The module imports no numpy: :mod:`cjlab.g10` is imported when a CSV of
-float arrays is written, and builds its tables on first use.  A column or
+float arrays is written, and builds its tables on first use.  json and
+hashlib are imported by the functions that use them, so a usage error,
+``--help`` or ``--version`` loads neither.  A column or
 value may be a numpy array or scalar or a plain Python sequence or number;
 numpy values are turned into Python ones with their ``tolist()``, so both
 give the same bytes.
@@ -38,8 +40,6 @@ give the same bytes.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -99,6 +99,8 @@ def write_csv(path: Path, header: Iterable[str], columns: Iterable[Sequence]) ->
 
 
 def write_json(path: Path, payload: dict) -> None:
+    import json
+
     with open(path, "w", newline="\n") as fh:
         json.dump(_round10(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -106,5 +108,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 def file_checksums(paths: Iterable[Path], root: Path) -> dict[str, str]:
     """sha256 of each file, keyed by its POSIX path relative to ``root``."""
+    import hashlib
+
     return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in paths}

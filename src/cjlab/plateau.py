@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from cjlab.decay import MIN_FIT_SAMPLES, DecayFit
 
@@ -76,9 +75,9 @@ def _pow(x: float, y: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class RadialGraph:
-    """Sampled radial exterior minimal graph."""
+class RadialGraph(NamedTuple):
+    """Sampled radial exterior minimal graph and its pointwise flux residual
+    (:func:`_flux_residual`)."""
 
     N: int
     R: float
@@ -86,21 +85,7 @@ class RadialGraph:
     v: list[float]
     dv: list[float]
     alphaR: float
-
-    @property
-    def flux_const(self) -> float:
-        """Conserved flux magnitude R^{N-1}."""
-        return self.R ** (self.N - 1)
-
-    @cached_property
-    def flux_residual(self) -> list[float]:
-        """Pointwise |r^{N-1} v'/sqrt(1+v'^2) + R^{N-1}| on the grid.  Where
-        r^{N-1} overflows, v' has underflowed to -0, and inf * -0 is a NaN
-        that misses the flux target."""
-        flux_const = self.flux_const  # OverflowError, before any sample
-        k = self.N - 1
-        return [abs(_pow(r, k) * dv / math.sqrt(1.0 + dv * dv) + flux_const)
-                for r, dv in zip(self.r, self.dv)]
+    flux_residual: list[float]
 
     @property
     def decay_coeff(self) -> float:
@@ -180,7 +165,17 @@ def plateau_profile(N: int, R: float, r_max: float) -> RadialGraph:
     q = [t ** (N - 1) for t in R_over_r]
     dv = [-x / math.sqrt(1.0 - x * x) for x in q]
     return RadialGraph(N=N, R=float(R), r=r, v=_height(N, R, R_over_r), dv=dv,
-                       alphaR=alpha_of_R(N, R))
+                       alphaR=alpha_of_R(N, R), flux_residual=_flux_residual(N, R, r, dv))
+
+
+def _flux_residual(N: int, R: float, r: list[float], dv: list[float]) -> list[float]:
+    """|r^{N-1} v'/sqrt(1+v'^2) + R^{N-1}| at each sample; OverflowError,
+    before any sample, where R^{N-1} overflows.  Where r^{N-1} overflows,
+    v' has underflowed to -0, and inf * -0 is a NaN that misses the flux
+    target."""
+    flux_const = float(R) ** (N - 1)
+    k = N - 1
+    return [abs(_pow(x, k) * d / math.sqrt(1.0 + d * d) + flux_const) for x, d in zip(r, dv)]
 
 
 def minimal_graph_residual(graph: RadialGraph) -> float:

@@ -28,8 +28,7 @@ at infinity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 __all__ = [
     "ConeSpec",
@@ -45,18 +44,22 @@ __all__ = [
 Regime = Literal["high_dim", "low_dim"]
 
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """The pair (m, n) selecting the Lawson cone C_{m,n} in R^{m+n}."""
-
+class _Pair(NamedTuple):  # a NamedTuple cannot define __new__; its subclass can
     m: int
     n: int
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+
+class ConeSpec(_Pair):
+    """The pair (m, n) selecting the Lawson cone C_{m,n} in R^{m+n}."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, n: int) -> ConeSpec:
+        if not (isinstance(m, int) and isinstance(n, int)):
             raise TypeError("m and n must be integers")
-        if self.m < 2 or self.n < 2:
-            raise ValueError(f"Lawson cone requires m, n >= 2, got ({self.m}, {self.n})")
+        if m < 2 or n < 2:
+            raise ValueError(f"Lawson cone requires m, n >= 2, got ({m}, {n})")
+        return super().__new__(cls, m, n)
 
     @property
     def N(self) -> int:
@@ -69,8 +72,7 @@ class ConeSpec:
         return math.atan(math.sqrt((self.n - 1) / (self.m - 1)))
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(NamedTuple):
     """Eigenvalues, Lambda_j and indicial roots of a Lawson link."""
 
     lambdas: tuple[float, ...]
@@ -86,8 +88,7 @@ class SpectralData:
         return roots
 
 
-@dataclass(frozen=True)
-class SolvabilityWindow:
+class SolvabilityWindow(NamedTuple):
     """Open interval of admissible decay exponents, minus indicial roots.
 
     ``contains(nu)`` is True when lo < nu < hi and nu is not one of the
@@ -96,7 +97,7 @@ class SolvabilityWindow:
 
     lo: float
     hi: float
-    excluded: tuple[float, ...] = field(default_factory=tuple)
+    excluded: tuple[float, ...] = ()
 
     def contains(self, nu: float, tol: float = 1e-12) -> bool:
         if not (self.lo + tol < nu < self.hi - tol):

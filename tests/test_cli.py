@@ -225,6 +225,19 @@ class TestSpectrumCommand:
         lines = (out / "spectrum.csv").read_text().splitlines()
         assert lines[0] == "j,lambda,Lambda_re,Lambda_im,root_minus,root_plus"
 
+    def test_bytes_are_pinned(self, tmp_path):
+        # pure math.sqrt of small integers, so the same bytes on any platform
+        out = tmp_path / "o"
+        assert main(["spectrum", "--m", "4", "--n", "4", "--count", "12", "--out", str(out)]) == 0
+        assert main(["spectrum", "--m", "4", "--n", "4", "--count", "12", "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "spectrum.json").read_bytes()).hexdigest() == (
+            "3a09bbed985090e355e1a14c3235a4435cc8beb02010f0a8feb70aa1d1583e4e")
+        assert (out / "spectrum.csv").read_bytes() == b"".join(
+            [b"j,lambda,Lambda_re,Lambda_im,root_minus,root_plus\n", b"0,-6,0.5,0,-3,-2\n",
+             *(b"%d,0,2.5,0,-5,0\n" % j for j in range(1, 9)),
+             *(b"%d,6,3.5,0,-6,1\n" % j for j in range(9, 12))])
+
     def test_console_script_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "cjlab.cli", "spectrum", "--m", "4", "--n", "4",
@@ -548,7 +561,9 @@ class TestImportLayering:
     errors) and the closed-form plateau, evaluated on Python floats, load
     neither numpy nor scipy, and the plateau loads neither the profile nor
     the Jacobi solver.  No command loads scipy: the integrating ones run on
-    the package's own stepper, which nothing else loads."""
+    the package's own stepper, which nothing else loads.  The records of the
+    numpy-free paths are named tuples, so they load no dataclasses, and only
+    a run that writes files loads json and hashlib."""
 
     LOADED = """
 import json, sys
@@ -603,6 +618,35 @@ rc = cjlab.cli.main(sys.argv[1:])
 print(json.dumps([rc, loaded()]))
 """, *argv, "--out", str(tmp_path / "o"))
         assert steps == [0, ["cjlab.dop853", *solvers, "numpy"]]
+
+    #: runs one cjl argv; prints its exit code and which of dataclasses,
+    #: hashlib and json it loaded (the interpreter's start-up does not count)
+    RECORDS = """
+import sys
+before = set(sys.modules)
+import cjlab.cli
+try:
+    rc = cjlab.cli.main(sys.argv[1:])
+except SystemExit as exc:  # argparse ends --help and --version this way
+    rc = exc.code
+loaded = sorted({"dataclasses", "hashlib", "json"} & (sys.modules.keys() - before))
+import json
+print(json.dumps([rc, loaded]))
+"""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["spectrum", "--m", "4", "--n", "4"], [0, ["hashlib", "json"]]),
+        (["spectrum", "--m", "4", "--n", "4", "--format", "csv"], [0, ["hashlib", "json"]]),
+        (["plateau", "--N", "5", "--R", "1"], [0, ["hashlib", "json"]]),
+        (["spectrum", "--m", "1", "--n", "3"], [2, []]),
+        (["report", "--specs", ""], [2, []]),
+        (["--help"], [0, []]),
+        (["--version"], [0, []]),
+    ], ids=["spectrum", "spectrum_csv", "plateau", "usage_error", "empty_sweep", "help",
+            "version"])
+    def test_cheap_paths_load_no_dataclasses(self, argv, want, tmp_path):
+        out = [] if argv[0].startswith("--") else ["--out", str(tmp_path / "o")]
+        assert run_fresh(self.RECORDS, *argv, *out) == want
 
 
 class TestLazyLibrary:
@@ -799,6 +843,15 @@ class TestReportCommand:
         assert row["crossings"] == 0
         assert abs(row["fitted_exponent"] - row["predicted_nu_bar"]) < 0.05
         assert (out / "m4n4" / "profile.csv").exists()
+
+    def test_fit_is_an_object_per_row(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["report", "--specs", "2,2;4,4", "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert [row["fit"]["oscillatory"] for row in rows] == [True, False]
+        for row in rows:
+            assert set(row["fit"]) == {"exponent", "log_coeff", "window", "residual_rms",
+                                       "oscillatory", "nearest_root", "gap"}
 
     def test_manifest_hashes_every_profile(self, tmp_path):
         out = tmp_path / "o"

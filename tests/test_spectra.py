@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,7 +158,7 @@ class TestIndicialData:
 
     def test_json_keys(self):
         spec = ConeSpec(3, 3)
-        payload = asdict(indicial_data(spec, link_eigenvalues(spec, 4)))
+        payload = indicial_data(spec, link_eigenvalues(spec, 4))._asdict()
         assert set(payload) == {
             "lambdas", "Lambda_re", "Lambda_im", "indicial_roots", "j0", "stable",
         }
