@@ -418,7 +418,7 @@ def sweep_row(curve: ProfileCurve, trace: GeometryTrace) -> dict:
     cls = decay.classify_against_indicial(fit, spectral)
     mask = curve.s <= 1.0e3
     short = ProfileCurve(spec=spec, s=curve.s[mask], a=curve.a[mask], b=curve.b[mask],
-                         phi=curve.phi[mask])
+                         theta=curve.theta[mask])
     return {
         "m": spec.m,
         "n": spec.n,

@@ -5,10 +5,10 @@ For O(m)xO(n)-invariant data the Jacobi equation J psi = f reduces to
     psi_ss + alpha psi_s + beta psi = f,      alpha = (m-1)a'/a + (n-1)b'/b,
 
 with beta = |A|^2.  :func:`solve_jacobi` computes the solution growing
-from zero at the axis as one initial value problem in t = log s, which
-carries the profile (a, b, phi) along with (psi, psi_t), so alpha, beta
-and f are closed forms at every stage and no interpolant is built; its
-(a, b, phi) samples are the one curve that everything below is built on.
+from zero at the axis as one initial value problem in s, the profile's
+(a, b, theta) right-hand side with (psi, psi_s) appended, so alpha, beta
+and f are closed forms at every stage; its (a, b, theta) samples are the
+one curve that everything below is built on.
 
 The substitution s = e^t, psi = p(t) u(t) with
 
@@ -46,9 +46,9 @@ from cjlab.profile import (
     GeometryTrace,
     ProfileCurve,
     ShootingConfig,
-    _sampled_curve,
+    _integrate,
+    _rhs,
     _series_start,
-    curvature_terms,
     geometry_trace,
 )
 from cjlab.spectra import ConeSpec
@@ -74,8 +74,8 @@ V_SETTLE_TOL = 1e-2
 
 #: RHS evaluations after which the psi solve gives up: near-axis curvature
 #: noise can keep DOP853 refining without end.  At ``cjl jacobi`` defaults a
-#: run with m, n <= 10 takes at most 17,276 ((10,10), 1/29 of the budget),
-#: but (64,64) takes 134,549, (100,100) 197,957 and (100,99) 227,405 (45 %).
+#: run with m, n <= 10 takes at most 17,240 ((10,9), 1/29 of the budget),
+#: but (64,64) takes 121,814, (100,100) 180,377 and (100,99) 232,790 (47 %).
 MAX_PSI_NFEV = 500_000
 
 #: finite-difference step (in t) targeted by the residual evaluator;
@@ -143,7 +143,7 @@ class JacobiSolution:
     left_pair: FundamentalPair
     middle_pair: FundamentalPair
     f: np.ndarray
-    #: the profile (a, b, phi) integrated with psi, and its geometry
+    #: the profile (a, b, theta) integrated with psi, and its geometry
     curve: ProfileCurve = field(repr=False)
     trace: GeometryTrace = field(repr=False)
     atol: float
@@ -314,64 +314,46 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
 
     ``f(s, a, b, phi)`` gives the forcing at profile points and must accept
     floats and arrays alike; it defaults to tr(A^3).  The profile (a, b,
-    phi), from the series start at s = epsilon, and (psi, psi_t), from
+    theta), from the series start at s = epsilon, and (psi, psi'), from
     zero data there (the truncated stand-in for the solution decaying at
-    the axis), are one DOP853 run in t = log s on ``cfg.grid()`` with rtol
-    :data:`cjlab.profile.RTOL` and atol = 1e-14 epsilon^2 (psi grows
-    like s^2 from the axis).  Its (a, b, phi) samples are the returned
-    ``curve``, whose :func:`geometry_trace` is ``trace``; a sample
-    outside the open quadrant, a non-finite state handed to the
-    right-hand side or more than :data:`MAX_PSI_NFEV` evaluations raise
-    :class:`IntegrationFailure`.  The
-    residual is re-evaluated from the psi samples by centred finite
-    differences in t with step close to :data:`RESIDUAL_FD_STEP`, and
-    reported as a sup over s in [2 epsilon, min(500, s_max / 2)], beyond
-    which the residual of the decaying tail is finite-difference noise.  A
-    grid too coarse for a diagnostic raises :class:`DiagnosticError`
-    naming the stage.
+    the axis), are one DOP853 run in s on ``cfg.grid()`` with rtol
+    :data:`cjlab.profile.RTOL` and atol = 1e-14 epsilon^2 (psi grows like
+    s^2 from the axis).  Its (a, b, theta) samples are the returned
+    ``curve``, whose :func:`geometry_trace` is ``trace``; a sample outside
+    the open quadrant, a stall (at once below epsilon ~ 1e-142), a
+    non-finite state handed to the right-hand side or more than
+    :data:`MAX_PSI_NFEV` evaluations raise :class:`IntegrationFailure`.
+    The residual is re-evaluated from the psi samples by centred finite
+    differences in t = log s with step close to :data:`RESIDUAL_FD_STEP`,
+    and reported as a sup over s in [2 epsilon, min(500, s_max / 2)],
+    beyond which the residual of the decaying tail is finite-difference
+    noise.  A grid too coarse for a diagnostic raises
+    :class:`DiagnosticError` naming the stage.
     """
     from cjlab.dop853 import dop853  # deferred: paths that do not integrate skip it
 
-    spec, s = cfg.spec, cfg.grid()
-    t = np.log(s)
+    spec = cfg.spec
     calls = itertools.count(1)
     last_s = cfg.epsilon  # largest s at which rhs saw a finite state
 
-    def rhs(tt, y):
+    def rhs(ss, y):
         nonlocal last_s
-        state = y.tolist()
-        if not all(map(math.isfinite, state)):  # NaN would otherwise run out the budget
+        if not all(map(math.isfinite, y.tolist())):  # NaN would otherwise run out the budget
             raise IntegrationFailure("psi solve: non-finite state", last_s=last_s)
-        ss = math.exp(tt)
         last_s = max(last_s, ss)
         if next(calls) > MAX_PSI_NFEV:
             raise IntegrationFailure(f"psi solve: over {MAX_PSI_NFEV} right-hand-side evaluations",
                                      last_s=last_s)
-        try:
-            return rhs_at(ss, *state)
-        except ArithmeticError:  # a float raises on x / 0 or x**2 past the range; numpy gives inf
-            return rhs_at(ss, *y)
-
-    def rhs_at(ss, a, b, phi, psi, psi_t):
-        ap, bp = math.cos(phi), math.sin(phi)
-        dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
-        force = trA3 if f is None else f(ss, a, b, phi)
-        return [ss * ap, ss * bp, ss * dphi, psi_t,
-                psi_t * (1.0 - ss * alpha) + ss * ss * (force - A2 * psi)]
+        return _rhs(ss, y, spec, f)
 
     atol = 1e-14 * cfg.epsilon**2
-    y0 = _series_start(spec, cfg.epsilon) + [0.0, 0.0]
-    with np.errstate(all="ignore"):  # a failed run raises below
-        ivp = dop853(rhs, t[0], t[-1], y0, atol, t)
-    if ivp.status != 0:  # a curve that crossed an axis before the stall says so first
-        _sampled_curve(spec, s[:len(ivp.t)], ivp.y[:3])
-        raise IntegrationFailure(f"psi solve: {ivp.message}",
-                                 last_s=math.exp(ivp.t[-1]) if len(ivp.t) else cfg.epsilon)
-    curve = _sampled_curve(spec, s, ivp.y[:3])
+    curve, y = _integrate(cfg, rhs, _series_start(spec, cfg.epsilon) + [0.0, 0.0], atol,
+                          "psi solve")
+    s, t = curve.s, curve.t
     trace = geometry_trace(curve)
     f_grid = trace.trA3 if f is None else np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
     ef = emden_fowler_transform(curve, trace, f_grid)
-    psi = ivp.y[3]
+    psi = y[3]
     # diagnostics only: the exact left pair, and the Wronskian drift of a
     # pair with unit-matrix data at t0 integrated across [t0, t1], both
     # columns as one IVP in (u_+, u_-, u_+', u_-')
@@ -392,7 +374,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
         s=s,
         t=t,
         psi=psi,
-        dpsi=ivp.y[4] / s,
+        dpsi=y[4],
         residual_pointwise=resid,
         residual=residual_sup(s, resid, 2.0 * s[0], min(500.0, s[-1] / 2.0)),
         ef=ef,
@@ -402,7 +384,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
         curve=curve,
         trace=trace,
         atol=atol,
-        nfev=ivp.nfev,
+        nfev=curve.accepted_steps,
     )
 
 

@@ -1,12 +1,14 @@
 """Arc-length profile curves of O(m)xO(n)-invariant minimal hypersurfaces.
 
 The hypersurface is generated by a planar curve gamma(s) = (a(s), b(s))
-in the closed quadrant, parametrised by arc length: a' = cos(phi),
-b' = sin(phi).  Zero mean curvature reduces to the first-order system
+in the closed quadrant, parametrised by arc length, with tangent angle
+phi to the a axis.  The state holds theta = pi/2 - phi, which a float keeps
+to full relative precision near the axis, where phi rounds it to 1e-16.
+Zero mean curvature reduces to the first-order system
 
-    a'   = cos(phi),
-    b'   = sin(phi),
-    phi' = (n-1) cos(phi)/b - (m-1) sin(phi)/a.
+    a'     = sin(theta),
+    b'     = cos(theta),
+    theta' = -phi' = (m-1) cos(theta)/a - (n-1) sin(theta)/b.
 
 The principal curvatures are kappa_0 = phi' (the curve), kappa_a =
 sin(phi)/a with multiplicity m-1 and kappa_b = -cos(phi)/b with
@@ -17,21 +19,23 @@ zeta_0 = a b' - a' b equals +1 at the axis start.
 The axis is a regular singular point: the curve leaves (1, 0)
 orthogonally, and integration starts at s = epsilon from the series
 
-    phi(eps) = pi/2 - (m-1) eps / n,
-    a(eps)   = 1 + (m-1) eps^2 / (2n),
-    b(eps)   = eps.
+    theta(eps) = (m-1) eps / n,
+    a(eps)     = 1 + (m-1) eps^2 / (2n),
+    b(eps)     = eps.
 
 The series is validated in the test suite against a tiny-epsilon
 integration started from the regularised limit phi'(0+) = -(m-1)/n.
 The curve leaving (0, 1) instead is the (n, m) curve mirrored by
-(a, b, phi) -> (b, a, pi/2 - phi).  Every profile integration runs at
-relative tolerance :data:`RTOL` and absolute tolerance RTOL / 100.
+(a, b, phi) -> (b, a, pi/2 - phi).  :func:`integrate_profile` runs this
+system at rtol :data:`RTOL` and atol RTOL / 100; ``solve_jacobi`` runs its
+right-hand side with (psi, psi') appended.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -112,7 +116,7 @@ class ProfileCurve:
     s: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    phi: np.ndarray
+    theta: np.ndarray  # pi/2 - phi, the stored angle (module docstring)
     #: right-hand-side evaluations of the run (the benchmark's tracer reads this name)
     accepted_steps: int = 0
 
@@ -120,6 +124,10 @@ class ProfileCurve:
     def t(self) -> np.ndarray:
         """log(s) grid."""
         return np.log(self.s)
+
+    @property
+    def phi(self) -> np.ndarray:
+        return np.pi / 2 - self.theta  # the tangent's angle to the a axis
 
 
 @dataclass(frozen=True)
@@ -139,52 +147,64 @@ class GeometryTrace:
 
 def _series_start(spec: ConeSpec, eps: float) -> list[float]:
     m, n = spec.m, spec.n
-    return [1.0 + (m - 1) * eps**2 / (2 * n), eps, math.pi / 2 - (m - 1) * eps / n]
+    return [1.0 + (m - 1) * eps**2 / (2 * n), eps, (m - 1) * eps / n]
 
 
-def _rhs(s: float, y: np.ndarray, spec: ConeSpec):
+def _rhs(s: float, y: np.ndarray, spec: ConeSpec, f: Callable | None = None):
+    """Derivative of (a, b, theta), or of (a, b, theta, psi, psi') with
+    psi'' = f - alpha psi' - |A|^2 psi, f(s, a, b, phi) the forcing (None: tr A^3)."""
     try:
-        return _rhs_at(spec, *y.tolist())
+        return _rhs_at(spec, f, s, *y.tolist())
     except ArithmeticError:  # a float raises on x / 0 or x**2 past the range; numpy gives inf
-        return _rhs_at(spec, *y)
+        return _rhs_at(spec, f, s, *y)
 
 
-def _rhs_at(spec: ConeSpec, a, b, phi) -> list:
-    ap, bp = math.cos(phi), math.sin(phi)
-    return [ap, bp, curvature_terms(spec, a, b, ap, bp)[0]]
+def _rhs_at(spec: ConeSpec, f, s, a, b, theta, psi=None, dpsi=None) -> list:
+    ap, bp = math.sin(theta), math.cos(theta)
+    dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
+    if psi is None:
+        return [ap, bp, -dphi]
+    force = trA3 if f is None else f(s, a, b, math.pi / 2 - theta)
+    return [ap, bp, -dphi, dpsi, force - alpha * dpsi - A2 * psi]
 
 
 def _sampled_curve(spec: ConeSpec, s: np.ndarray, y: np.ndarray,
                    accepted_steps: int = 0) -> ProfileCurve:
-    """The curve of integrator samples y = (a, b, phi) at s; raises
+    """The curve of integrator samples y = (a, b, theta, ...) at s; raises
     :class:`IntegrationFailure` if a sample leaves the open quadrant."""
-    a, b, phi = y
+    a, b, theta = y[:3]
     outside = np.nonzero(~((a > 0.0) & (b > 0.0)))[0]
-    if len(outside):  # neither IVP stops at an axis: a curve that crosses one shows here
+    if len(outside):  # the IVP does not stop at an axis: a curve that crosses one shows here
         raise IntegrationFailure(f"profile samples for (m,n)=({spec.m},{spec.n}) leave the "
                                  "open quadrant", last_s=float(s[max(outside[0] - 1, 0)]))
-    return ProfileCurve(spec=spec, s=s, a=a, b=b, phi=phi, accepted_steps=accepted_steps)
+    return ProfileCurve(spec=spec, s=s, a=a, b=b, theta=theta, accepted_steps=accepted_steps)
 
 
-def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
-    """Integrate the profile system from the axis series start.
-
-    Samples are stored on :meth:`ShootingConfig.grid`.  A run the
-    integrator cannot finish, or a sample outside the open quadrant,
-    raises :class:`IntegrationFailure` carrying the last valid arc length.
-    """
+def _integrate(cfg: ShootingConfig, fun: Callable, y0: list, atol: float, stage: str) -> tuple:
+    """One DOP853 run of ``fun`` from ``y0`` over ``cfg.grid()``: the curve of
+    its (a, b, theta) samples, and all samples.  A stall (named ``stage``) or a
+    sample outside the open quadrant raises :class:`IntegrationFailure` with
+    the last valid s."""
     from cjlab.dop853 import dop853  # deferred: it imports RTOL from this module
 
     spec, s = cfg.spec, cfg.grid()
     with np.errstate(all="ignore"):  # overflow ends the run or shows in Hres
-        sol = dop853(lambda ss, y: _rhs(ss, y, spec), s[0], s[-1],
-                     _series_start(spec, cfg.epsilon), RTOL * 1e-2, s)
+        sol = dop853(fun, s[0], s[-1], y0, atol, s)
     if sol.status != 0:  # a curve that crossed an axis before the stall says so first
-        _sampled_curve(spec, s[:len(sol.t)], sol.y)
+        _sampled_curve(spec, sol.t, sol.y)
         last_s = float(sol.t[-1]) if len(sol.t) else cfg.epsilon
-        raise IntegrationFailure(f"profile integration for (m,n)=({spec.m},{spec.n}) "
-                                 f"stopped at s={last_s:.6g}", last_s=last_s)
-    return _sampled_curve(spec, s, sol.y, accepted_steps=sol.nfev)
+        raise IntegrationFailure(f"{stage} for (m,n)=({spec.m},{spec.n}) stopped at "
+                                 f"s={last_s:.6g}: {sol.message}", last_s=last_s)
+    return _sampled_curve(spec, s, sol.y, accepted_steps=sol.nfev), sol.y
+
+
+def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
+    """Integrate the profile system from the axis series start on
+    :meth:`ShootingConfig.grid`; a stall or a sample outside the open
+    quadrant raises :class:`IntegrationFailure` with the last valid s."""
+    spec = cfg.spec
+    return _integrate(cfg, lambda s, y: _rhs(s, y, spec), _series_start(spec, cfg.epsilon),
+                      RTOL * 1e-2, "profile integration")[0]
 
 
 def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:
@@ -196,19 +216,18 @@ def cone_ray(spec: ConeSpec, s: np.ndarray) -> ProfileCurve:
         s=s,
         a=s * math.cos(phi_star),
         b=s * math.sin(phi_star),
-        phi=np.full_like(s, phi_star),
+        theta=np.full_like(s, math.pi / 2 - phi_star),
     )
 
 
 def curvature_terms(spec: ConeSpec, a, b, ap, bp):
     """Closed-form phi', alpha, |A|^2 and tr(A^3) at profile points (a, b)
-    with direction cosines ap = cos(phi), bp = sin(phi).
+    with direction cosines ap = cos(phi) = sin(theta), bp = sin(phi) = cos(theta).
 
-    The one place these terms are formed: the profile right-hand side,
-    the Jacobi solve and :func:`geometry_trace` all evaluate them here.
-    Floats give floats (both right-hand sides unpack the integrator's
-    state into floats), numpy scalars give numpy scalars with the same
-    bits, and arrays give arrays.
+    The one place these terms are formed, for the right-hand side and for
+    :func:`geometry_trace`.  Floats give floats (the right-hand side unpacks
+    the integrator's state into floats), numpy scalars give numpy scalars
+    with the same bits, and arrays give arrays.
     """
     m, n = spec.m, spec.n
     dphi = (n - 1) * ap / b - (m - 1) * bp / a
@@ -244,22 +263,21 @@ def _fd_derivative_log(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 def geometry_trace(curve: ProfileCurve) -> GeometryTrace:
     """Evaluate alpha, |A|^2, tr(A^3), zeta_0 and the H-residual.
 
-    All fields come from closed forms in (s, a, b, phi); the H-residual
-    alone replaces phi' by a finite-difference derivative of the phi
-    samples, so it measures how well the stored curve satisfies the
+    All fields come from closed forms in (s, a, b, theta); the H-residual
+    alone replaces phi' = -theta' by a finite-difference derivative of the
+    theta samples, so it measures how well the stored curve satisfies the
     curvature equation independently of the integrator.
     """
     spec = curve.spec
     m, n = spec.m, spec.n
-    a, b, phi, s = curve.a, curve.b, curve.phi, curve.s
+    a, b, theta, s = curve.a, curve.b, curve.theta, curve.s
     if np.any(s <= 0.0) or np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("geometry trace requires samples with s, a, b > 0")
     with np.errstate(all="ignore"):  # non-finite values show in Hres
-        ap, bp = np.cos(phi), np.sin(phi)
+        ap, bp = np.sin(theta), np.cos(theta)
         dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
         zeta0 = a * bp - ap * b
-        dphi_fd = _fd_derivative_log(curve.t, phi) / s
-        Hres = dphi_fd + (m - 1) * bp / a - (n - 1) * ap / b
+        Hres = (m - 1) * bp / a - (n - 1) * ap / b - _fd_derivative_log(curve.t, theta) / s
         app, bpp = -bp * dphi, ap * dphi
         alpha_prime = (m - 1) * (app / a - (ap / a) ** 2) + (n - 1) * (bpp / b - (bp / b) ** 2)
         dzeta0_dt = s * dphi * (a * ap + b * bp)
@@ -284,12 +302,12 @@ def arc_length_defect(curve: ProfileCurve) -> np.ndarray:
 
 def jacobi_field_translation(curve: ProfileCurve) -> tuple[np.ndarray, np.ndarray]:
     """Profiles (a'(s), b'(s)) of the translation Jacobi fields."""
-    return np.cos(curve.phi), np.sin(curve.phi)
+    return np.sin(curve.theta), np.cos(curve.theta)
 
 
 def jacobi_field_rotation(curve: ProfileCurve) -> np.ndarray:
     """Rotation Jacobi field zeta_M(s) = a a' + b b' (first x/y mixing)."""
-    return curve.a * np.cos(curve.phi) + curve.b * np.sin(curve.phi)
+    return curve.a * np.sin(curve.theta) + curve.b * np.cos(curve.theta)
 
 
 def cone_crossings(curve: ProfileCurve) -> int:

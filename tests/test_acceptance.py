@@ -89,7 +89,7 @@ def test_c04_crossing_dichotomy(short_curves, long_curves):
 
     clipped = ProfileCurve(spec=curve22.spec,
                            s=curve22.s[mask], a=curve22.a[mask],
-                           b=curve22.b[mask], phi=curve22.phi[mask])
+                           b=curve22.b[mask], theta=curve22.theta[mask])
     oscillatory = cone_crossings(clipped)
     ok = stable == 0 and oscillatory >= 5
     log_criterion(

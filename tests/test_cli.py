@@ -743,7 +743,7 @@ class TestJacobiCommand:
         monkeypatch.setattr(stepper, "dop853", lambda *a: calls.append(len(a[3])) or run(*a))
         out = tmp_path / "o"
         assert main(["jacobi", *M2N2, "--s-max", "200", "--out", str(out)]) == 0
-        assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the middle pair
+        assert calls == [5, 4]  # (a, b, theta, psi, psi'), then the middle pair
 
     TINY_EPS = [*M2N2, "--eps", "1e-160", "--s-max", "10", "--grid-step", "0.1"]
 
@@ -761,22 +761,43 @@ class TestJacobiCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_eps_jacobi_exits_4_with_one_line(self, tmp_path, capsys):
-        """The profile overflows near the axis; the psi solve stops at the
-        first non-finite state instead of spending its budget on NaN."""
+        """psi's atol 1e-14 eps^2 underflows to 0, so its first trial step is
+        NaN; the psi solve stops at the first non-finite state instead of
+        spending its budget on NaN."""
         assert main(["jacobi", *self.TINY_EPS, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert err == ["integration failure: psi solve: non-finite state (last s = 1e-160)"]
 
     def test_profile_h_residual_target(self, tmp_path, capsys):
         """The profile.csv a jacobi run writes meets the H-residual target of
-        cjl profile; at eps = 1e-8 its sup, at s = eps, misses it."""
+        cjl profile, at eps = 1e-8 too, where a float phi put 1.6e-4 at
+        s = eps; a grid too coarse for its finite difference misses it."""
+        argv = ["jacobi", "--m", "3", "--n", "3", "--eps", "1e-8", "--s-max", "300"]
         out = tmp_path / "o"
-        argv = ["--m", "3", "--n", "3", "--eps", "1e-8", "--s-max", "300", "--grid-step", "1e-3"]
-        assert main(["jacobi", *argv, "--out", str(out)]) == 4
-        assert capsys.readouterr().err.splitlines() == [
-            "numerical target missed: H-residual 1.627e-04 exceeds 1e-7"]
+        assert main([*argv, "--grid-step", "1e-3", "--out", str(out)]) == 0
         metrics = json.loads((out / "manifest.json").read_text())["metrics"]
-        assert metrics["H_residual_sup"] == pytest.approx(1.627e-4, rel=1e-3)
+        assert metrics["H_residual_sup"] <= 1e-7
+        capsys.readouterr()
+        out = tmp_path / "coarse"
+        assert main([*argv, "--grid-step", "0.05", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.search(r"; H-residual \S+ exceeds 1e-7$", err[0])
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["H_residual_sup"] > 1e-7
+
+    @pytest.mark.parametrize("grid_step,code", [("1e-3", 0), ("1e-2", 4)])
+    def test_tiny_eps_psi_solve_finishes(self, grid_step, code, tmp_path, capsys):
+        """At eps = 1e-13 the psi solve takes under 10,000 evaluations (with a
+        float phi it ran out its 500,000).  On the grid h = 1e-2 the
+        residual's centred difference misses the target at every eps
+        (4.9e-5 at eps = 1e-3 too), and nothing else does."""
+        out = tmp_path / "o"
+        assert main(["jacobi", "--m", "3", "--n", "3", "--eps", "1e-13", "--s-max", "50",
+                     "--grid-step", grid_step, "--out", str(out)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([] if code == 0 else [
+            "numerical target missed: residual 4.937e-05 exceeds 2.111e-06"])
+        assert json.loads((out / "manifest.json").read_text())["metrics"]["psi_nfev"] < 10_000
 
     def test_profile_command(self, tmp_path):
         out = tmp_path / "o"

@@ -17,7 +17,7 @@ from cjlab import (
     solve_jacobi,
     weighted_sup_norm,
 )
-from cjlab import jacobi
+from cjlab import jacobi, profile
 from cjlab.cli import RESIDUAL_TARGET_FACTOR
 from cjlab.jacobi import (
     DiagnosticError,
@@ -193,8 +193,8 @@ class TestSolveJacobi:
             solve_jacobi(short_configs[(2, 2)])
 
     def test_profile_integrated_with_psi_matches_curve(self, jacobi_configs, jacobi_solutions):
-        """The curve the IVP carries along with psi (in t) retraces the profile
-        that integrate_profile computes on its own (in s), both at profile.RTOL."""
+        """The curve the IVP carries along with psi retraces the profile that
+        integrate_profile computes on its own, both at profile.RTOL."""
         for key, cfg in jacobi_configs.items():
             curve, sol = integrate_profile(cfg), jacobi_solutions[key][2]
             assert np.array_equal(sol.curve.s, curve.s)
@@ -207,7 +207,7 @@ class TestSolveJacobi:
         a curve that crosses an axis never reaches geometry_trace."""
         # phi' = -3 curls b back into the axis; flat coefficients, so the IVP
         # steps across the axis instead of stalling at it
-        monkeypatch.setattr(jacobi, "curvature_terms",
+        monkeypatch.setattr(profile, "curvature_terms",
                             lambda spec, a, b, ap, bp: (-3.0, 0.0, 0.0, 0.0))
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             solve_jacobi(short_configs[(2, 2)])
@@ -218,7 +218,7 @@ class TestSolveJacobi:
         with the last sample inside the quadrant, not where it stalled."""
         # b crosses 0 near s = pi/3; phi' jumps to 1e20 at b = -0.05, where no
         # step is short enough to meet the tolerance
-        monkeypatch.setattr(jacobi, "curvature_terms", lambda spec, a, b, ap, bp:
+        monkeypatch.setattr(profile, "curvature_terms", lambda spec, a, b, ap, bp:
                             (-3.0 if b > -0.05 else 1e20, 0.0, 0.0, 0.0))
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             solve_jacobi(short_configs[(2, 2)])

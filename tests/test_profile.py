@@ -52,10 +52,11 @@ def test_series_start_against_tiny_eps_oracle(m, n, axis):
     eps = 1e-3
     oracle = tiny_start_oracle(m, n, axis, eps)
     if axis == "axis_m":
-        series = _series_start(ConeSpec(m, n), eps)
-    else:
-        a, b, phi = _series_start(ConeSpec(n, m), eps)
-        series = [b, a, np.pi / 2 - phi]
+        a, b, theta = _series_start(ConeSpec(m, n), eps)
+        series = [a, b, np.pi / 2 - theta]
+    else:  # the mirror takes the state's theta = pi/2 - phi to phi
+        a, b, theta = _series_start(ConeSpec(n, m), eps)
+        series = [b, a, theta]
     # series truncation error is O(eps^3)
     assert series == pytest.approx(oracle, abs=5e-9)
 
@@ -137,7 +138,7 @@ class TestIntegrateProfile:
         import cjlab.profile as P
 
         def doomed_rhs(s, y, spec):
-            return [np.cos(y[2]), np.sin(y[2]), -3.0]  # curls b back into the axis
+            return [np.sin(y[2]), np.cos(y[2]), 3.0]  # phi' = -3 curls b back into the axis
 
         monkeypatch.setattr(P, "_rhs", doomed_rhs)
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
@@ -178,7 +179,7 @@ class TestIntegrateProfile:
         import cjlab.profile as P
 
         def doomed_rhs(s, y, spec):  # b crosses 0 near s = pi/3; NaN from b = -0.05 stalls it
-            return [math.cos(y[2]), math.sin(y[2]), -3.0 if y[1] > -0.05 else math.nan]
+            return [math.sin(y[2]), math.cos(y[2]), 3.0 if y[1] > -0.05 else math.nan]
 
         monkeypatch.setattr(P, "_rhs", doomed_rhs)
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
@@ -250,8 +251,8 @@ class TestCurvatureTerms:
     def test_floats_give_floats(self):
         """Direction cosines from math.cos/math.sin keep every term a float."""
         spec = ConeSpec(3, 3)
-        a, b, phi = _series_start(spec, 1e-3)
-        terms = curvature_terms(spec, a, b, math.cos(phi), math.sin(phi))
+        a, b, theta = _series_start(spec, 1e-3)
+        terms = curvature_terms(spec, a, b, math.sin(theta), math.cos(theta))
         assert [type(x) for x in terms] == [float] * 4
 
     @pytest.mark.parametrize("m,n", [(3, 3), (4, 3)])
@@ -272,10 +273,10 @@ class TestCurvatureTerms:
         the float range; the profile right-hand side then gives what numpy
         scalars give, as the integrator's trial stages may ask for it."""
         spec = ConeSpec(3, 3)
-        ap, bp = math.cos(1.0), math.sin(1.0)
+        ap, bp = math.sin(1.0), math.cos(1.0)  # theta = 1
         with np.errstate(all="ignore"):
             want = curvature_terms(spec, np.float64(1.0), np.float64(b), ap, bp)[0]
-            assert _rhs(0.0, np.array([1.0, b, 1.0]), spec) == [ap, bp, want]
+            assert _rhs(0.0, np.array([1.0, b, 1.0]), spec) == [ap, bp, -want]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 50])
     def test_m_is_n_plus_1_closed_form(self, n):
@@ -288,7 +289,8 @@ class TestCurvatureTerms:
             phi = rng.uniform(0.0, np.pi / 2)
             want = trA3_oracle(n + 1, n, a, b, phi)
             assert abs(curvature_terms(spec, a, b, np.cos(phi), np.sin(phi))[3] / want - 1) < 1e-13
-        a, b, phi = _series_start(spec, 1e-3)
+        a, b, theta = _series_start(spec, 1e-3)
+        phi = np.pi / 2 - theta
         want = trA3_oracle(n + 1, n, a, b, phi)
         assert abs(curvature_terms(spec, a, b, np.cos(phi), np.sin(phi))[3] / want - 1) < 1e-9
 
@@ -355,7 +357,7 @@ def _clip(curve, s_hi):
 
     mask = curve.s <= s_hi
     return ProfileCurve(spec=curve.spec, s=curve.s[mask], a=curve.a[mask], b=curve.b[mask],
-                        phi=curve.phi[mask])
+                        theta=curve.theta[mask])
 
 
 def _sign_change_locations(s, y):
