@@ -25,7 +25,7 @@ def test_sample_spans_the_accepted_range():
 def test_report_over_the_sample_exits_0(capsys):
     """Every profile the report writes meets the H-residual target."""
     specs = ";".join(f"{m},{n}" for m, n in SAMPLE)
-    with tempfile.TemporaryDirectory() as out:  # 107 profile.csv files, about 300 MB
+    with tempfile.TemporaryDirectory() as out:  # 107 profile.csv files, about 160 MB
         code = main(["report", "--specs", specs, "--out", out])
     assert code == 0, capsys.readouterr().err
 
