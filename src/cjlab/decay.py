@@ -19,7 +19,8 @@ from cjlab.spectra import SpectralData
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["DecayFit", "fit_power_law", "classify_against_indicial", "envelope_maxima"]
+__all__ = ["DecayFit", "fit_power_law", "classify_against_indicial", "envelope_maxima",
+           "window_slice"]
 
 #: window (in the same units as r) a local maximum must dominate in log r
 #: before it counts as an envelope point; rejects noise-induced maxima.
@@ -41,6 +42,15 @@ class DecayFit(NamedTuple):
     window: tuple[float, float]
     residual_rms: float
     oscillatory: bool
+
+
+def window_slice(r: np.ndarray, lo: float, hi: float) -> slice:
+    """The samples lo <= r <= hi of the increasing grid ``r``, as an index
+    range; start == stop when there is none."""
+    import numpy as np
+
+    start = int(np.searchsorted(r, lo))
+    return slice(start, max(start, int(np.searchsorted(r, hi, side="right"))))
 
 
 def envelope_maxima(r: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -95,7 +105,9 @@ def fit_power_law(r: np.ndarray, y: np.ndarray, window: tuple[float, float],
                   with_log: bool = False) -> DecayFit:
     """Least-squares decay fit of |y(r)| over ``window``.
 
-    The fit needs at least 20 nonzero samples inside the window.  When
+    ``r`` is an increasing sample grid, as every caller's is: the window
+    is an index range of it.  The fit needs at least 20 nonzero samples
+    with r > 0 inside the window.  When
     the signal has >= 5 guarded local maxima the fit runs on that
     envelope and ``oscillatory`` is True; otherwise it runs on the raw
     samples.  With ``with_log`` the model gains a log(log r) term whose
@@ -111,13 +123,15 @@ def fit_power_law(r: np.ndarray, y: np.ndarray, window: tuple[float, float],
     lo, hi = window
     if not lo < hi:
         raise ValueError("window must satisfy r_lo < r_hi")
-    mask = (r >= lo) & (r <= hi) & (y != 0.0) & (r > 0.0)
+    sel = window_slice(r, lo, hi)
+    rw, yw = r[sel], y[sel]
+    keep = (yw != 0.0) & (rw > 0.0)
     if with_log:
-        mask &= r != 1.0
-    if int(mask.sum()) < MIN_FIT_SAMPLES:
-        raise ValueError(f"need >= {MIN_FIT_SAMPLES} nonzero samples in window, "
-                         f"got {int(mask.sum())}")
-    rw, yw = r[mask], np.abs(y[mask])
+        keep &= rw != 1.0
+    count = int(np.count_nonzero(keep))
+    if count < MIN_FIT_SAMPLES:
+        raise ValueError(f"need >= {MIN_FIT_SAMPLES} nonzero samples in window, got {count}")
+    rw, yw = rw[keep], np.abs(yw[keep])
 
     idx = envelope_maxima(rw, yw)
     oscillatory = len(idx) >= MIN_ENVELOPE_MAXIMA

@@ -100,9 +100,7 @@ class Solution(NamedTuple):
     """Samples of a :func:`dop853` run."""
 
     t: np.ndarray  # the points of t_eval reached
-    #: (n, len(t)), F-ordered: the transpose of a C-ordered (len(t), n) buffer.
-    #: scipy's y has this layout when a step holds two or more samples; when
-    #: none does, its np.hstack of (n, 1) columns is C-ordered, same values.
+    #: (n, len(t)), F-ordered: the transpose of a C-ordered (len(t), n) buffer
     y: np.ndarray
     nfev: int
     status: int  # 0: reached t1; -1: the step fell below the float spacing near t
@@ -113,6 +111,18 @@ def _norm(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5  # root mean square
 
 
+def _squared_norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v) ** 2`` on floats.  The norm of a vector is
+    sqrt(v.dot(v)), and ``**`` is C's pow, which on numpy scalars and floats
+    alike sometimes differs from r * r in the last bit; a float's ``**``
+    raises past the float range, where numpy's gives inf."""
+    r = math.sqrt(v.dot(v))
+    try:
+        return r ** 2
+    except OverflowError:
+        return math.inf
+
+
 def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
            t_eval: np.ndarray) -> Solution:
     """Integrate y' = fun(t, y) from y(t0) = y0 up to t1 > t0 at rtol
@@ -120,17 +130,14 @@ def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
     ``t_eval`` in [t0, t1].  Each step's samples are written right after
     it, from that step's dense output, which costs 3 more evaluations.
     """
-    def rhs(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
     t, t1, y = float(t0), float(t1), np.asarray(y0, dtype=float)
-    f = rhs(t, y)
+    f = np.asarray(fun(t, y), dtype=float)
     n = y.size
     # initial step, from the first-order growth of y and the change of f
     scale = atol + np.abs(y) * RTOL
     d0, d1 = _norm(y / scale), _norm(f / scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t)
-    d2 = _norm((rhs(t + h0, y + h0 * f) - f) / scale) / h0
+    d2 = _norm(np.subtract(fun(t + h0, y + h0 * f), f) / scale) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
           else (0.01 / max(d1, d2)) ** 0.125)
     h_abs = float(min(100 * h0, h1, t1 - t))
@@ -138,7 +145,13 @@ def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
 
     c = C.tolist()
     a = [A[s, :s] for s in range(16)]
-    K = np.empty((16, n))  # stages 0-11, f at the step's end, dense-output stages
+    # stages 0-11, f at the step's end, dense-output stages: each evaluation
+    # is written into its row; K[0] is f at the step's start, K[12] at its end
+    K = np.empty((16, n))
+    KT = [K[:s].T for s in range(16)]
+    K[0] = f
+    F = np.empty((7, n))  # the dense output's polynomial coefficients
+    F_high_first = F[::-1, :, None]
     out = np.empty((len(t_eval), n))
     done = 0  # samples written
     while t < t1:
@@ -151,16 +164,14 @@ def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
             for s in range(1, 12):
-                K[s] = rhs(t + c[s] * h, y + np.dot(K[:s].T, a[s]) * h)
-            y_new = y + h * np.dot(K[:12].T, B)
-            K[12] = f_new = rhs(t + h, y_new)
+                K[s] = fun(t + c[s] * h, y + KT[s].dot(a[s]) * h)
+            y_new = y + h * KT[12].dot(B)
+            K[12] = fun(t + h, y_new)
             nfev += 12
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-            # squared on numpy scalars, which give inf where a float raises
-            err5 = float(np.linalg.norm(np.dot(K[:13].T, E5) / scale) ** 2)
-            err3 = float(np.linalg.norm(np.dot(K[:13].T, E3) / scale) ** 2)
+            err5 = _squared_norm(KT[13].dot(E5) / scale)
+            err3 = _squared_norm(KT[13].dot(E3) / scale)
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
@@ -171,29 +182,28 @@ def dop853(fun: Callable, t0: float, t1: float, y0, atol: float,
                 break
             h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
             rejected = True
-        t_old, y_old, f_old = t, y, f
-        t, y, f = t_new, y_new, f_new
+        t_old, y_old = t, y
+        t, y = t_new, y_new
 
-        end = np.searchsorted(t_eval, t, side="right")
-        if end == done:
-            continue
-        for s in range(13, 16):
-            K[s] = rhs(t_old + c[s] * h, y_old + np.dot(K[:s].T, a[s]) * h)
-        nfev += 3
-        F = np.empty((7, n))
-        F[0] = dy = y - y_old
-        F[1] = h * f_old - dy
-        F[2] = 2 * dy - h * (f + f_old)
-        F[3:] = h * np.dot(D, K)
-        # Horner-like evaluation in x and 1 - x, one sample per column, so
-        # that each operation runs along the step's samples
-        x = (t_eval[done:end] - t_old) / h
-        one_minus_x = 1 - x
-        ys = np.zeros((n, end - done))
-        for i, Fi in enumerate(F[::-1, :, None]):
-            ys += Fi
-            ys *= x if i % 2 == 0 else one_minus_x
-        ys += y_old[:, None]
-        out[done:end] = ys.T
-        done = end
+        end = t_eval.searchsorted(t, "right")
+        if end > done:
+            for s in range(13, 16):
+                K[s] = fun(t_old + c[s] * h, y_old + KT[s].dot(a[s]) * h)
+            nfev += 3
+            F[0] = dy = y - y_old
+            F[1] = h * K[0] - dy
+            F[2] = 2 * dy - h * (K[12] + K[0])
+            F[3:] = h * D.dot(K)
+            # Horner-like evaluation in x and 1 - x, one sample per column, so
+            # that each operation runs along the step's samples
+            x = (t_eval[done:end] - t_old) / h
+            one_minus_x = 1 - x
+            ys = np.zeros((n, end - done))
+            for i, Fi in enumerate(F_high_first):
+                ys += Fi
+                ys *= x if i % 2 == 0 else one_minus_x
+            ys += y_old[:, None]
+            out[done:end] = ys.T
+            done = end
+        K[0] = K[12]
     return Solution(t_eval[:done], out[:done].T, nfev, 0, None)

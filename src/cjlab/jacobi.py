@@ -47,7 +47,7 @@ from cjlab.profile import (
     ProfileCurve,
     ShootingConfig,
     _integrate,
-    _rhs,
+    _rhs_at,
     _series_start,
     geometry_trace,
 )
@@ -122,7 +122,8 @@ class FundamentalPair:
     du_minus: np.ndarray
 
     def wronskian_samples(self) -> np.ndarray:
-        return self.u_plus * self.du_minus - self.du_plus * self.u_minus
+        with np.errstate(over="ignore", invalid="ignore"):  # products past the float range: nan
+            return self.u_plus * self.du_minus - self.du_plus * self.u_minus
 
     @property
     def wronskian_drift(self) -> float:
@@ -338,13 +339,17 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
 
     def rhs(ss, y):
         nonlocal last_s
-        if not all(map(math.isfinite, y.tolist())):  # NaN would otherwise run out the budget
+        state = y.tolist()
+        if not all(map(math.isfinite, state)):  # NaN would otherwise run out the budget
             raise IntegrationFailure("psi solve: non-finite state", last_s=last_s)
         last_s = max(last_s, ss)
         if next(calls) > MAX_PSI_NFEV:
             raise IntegrationFailure(f"psi solve: over {MAX_PSI_NFEV} right-hand-side evaluations",
                                      last_s=last_s)
-        return _rhs(ss, y, spec, f)
+        try:
+            return _rhs_at(spec, f, ss, *state)
+        except ArithmeticError:  # as in profile._rhs: numpy scalars give inf where floats raise
+            return _rhs_at(spec, f, ss, *y)
 
     atol = 1e-14 * cfg.epsilon**2
     curve, y = _integrate(cfg, rhs, _series_start(spec, cfg.epsilon) + [0.0, 0.0], atol,
@@ -424,10 +429,11 @@ def _fd_residual(
 
 
 def residual_sup(s: np.ndarray, resid: np.ndarray, lo: float, hi: float) -> float:
-    mask = (s >= lo) & (s <= hi)
-    if not mask.any():
+    """sup |resid| over the samples lo <= s <= hi of the increasing grid s."""
+    sel = decay.window_slice(s, lo, hi)
+    if sel.start == sel.stop:
         raise ValueError("empty residual range")
-    return float(np.max(np.abs(resid[mask])))
+    return float(np.max(np.abs(resid[sel])))
 
 
 def weighted_sup_norm(s: np.ndarray, h: np.ndarray, nu: float) -> float:
@@ -456,23 +462,22 @@ def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec) -> dict:
     when the curve is too short for two windows, so there is no ratio.
     """
     name, weight = sharp_weight(spec)
-    q = weight(sol.s) * np.abs(sol.psi)
+    s, psi = sol.s, sol.psi
     windows: list[list[float]] = []
     sups: list[float] = []
     k = 7
-    while 2.0 ** (k + 1) <= sol.s[-1]:
-        mask = (sol.s >= 2.0**k) & (sol.s <= 2.0 ** (k + 1))
-        if not mask.any():
+    while 2.0 ** (k + 1) <= s[-1]:
+        sel = decay.window_slice(s, 2.0**k, 2.0 ** (k + 1))
+        if sel.start == sel.stop:
             raise DiagnosticError(f"decay windows: no grid sample in [{2**k}, {2 ** (k + 1)}]; "
                                   "refine the grid")
         windows.append([2.0**k, 2.0 ** (k + 1)])
-        sups.append(float(np.max(q[mask])))
+        sups.append(float(np.max(weight(s[sel]) * np.abs(psi[sel]))))
         k += 1
     ratios = [sups[j + 1] / sups[j] for j in range(len(sups) - 1)]
-    tail_mask = sol.s >= 100.0
     exponent = float("nan")
-    if int(np.sum(tail_mask & (sol.psi != 0.0))) >= 20:
-        exponent = decay.fit_power_law(sol.s, sol.psi, (100.0, float(sol.s[-1]))).exponent
+    if np.count_nonzero(psi[np.searchsorted(s, 100.0):]) >= 20:
+        exponent = decay.fit_power_law(s, psi, (100.0, float(s[-1]))).exponent
     return {
         "weight": name,
         "windows": windows,

@@ -30,6 +30,7 @@ def test_report_over_the_sample_exits_0(capsys):
     assert code == 0, capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # (100,99) overflows its middle pair
 @pytest.mark.parametrize("m,n", [(17, 16), (21, 20), (26, 25), (51, 50), (100, 99)])
 def test_jacobi_on_the_m_is_n_plus_1_edge_exits_0(m, n, tmp_path, capsys):
     code = main(["jacobi", "--m", str(m), "--n", str(n), "--out", str(tmp_path)])

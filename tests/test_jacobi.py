@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from cjlab import (
     solve_jacobi,
     weighted_sup_norm,
 )
-from cjlab import jacobi, profile
+from cjlab import decay, jacobi, profile
 from cjlab.cli import RESIDUAL_TARGET_FACTOR
 from cjlab.jacobi import (
     DiagnosticError,
@@ -176,6 +177,19 @@ class TestLeftFundamentalPair:
             k = sol.ef.i0 + 1
             u = sol.psi[:k] / sol.ef.p[:k]
             assert np.max(np.abs(u_vop - u)) <= 1e-8 * np.max(np.abs(u))
+
+
+class TestFundamentalPair:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_products_give_a_nan_drift_without_warnings(self):
+        """u_+ u_-' past the float range is inf, and inf - inf is nan: the
+        drift reads nan, and numpy prints nothing."""
+        u = np.array([1.0, 1e200, 1e300])
+        pair = jacobi.FundamentalPair(t=np.arange(3.0), u_plus=u, u_minus=u, du_plus=u,
+                                      du_minus=u)
+        w = pair.wronskian_samples()
+        assert w[0] == 0.0 and np.isnan(w[1]) and np.isnan(w[2])
+        assert math.isnan(pair.wronskian_drift)
 
 
 class TestSolveJacobi:
@@ -375,6 +389,103 @@ class TestDecayDiagnostics:
         report = decay_diagnostics(solve_jacobi(cfg), cfg.spec)
         assert report["windows"] == [] and report["ratios"] == []
         assert report["bounded_within_factor"] is None
+
+
+def masked(r, lo, hi):
+    """The full-grid boolean mask that decay.window_slice replaced."""
+    return (r >= lo) & (r <= hi)
+
+
+def masked_fit(r, y, window, with_log=False):
+    """decay.fit_power_law as it selected its samples with full-grid masks."""
+    lo, hi = window
+    mask = masked(r, lo, hi) & (y != 0.0) & (r > 0.0)
+    if with_log:
+        mask &= r != 1.0
+    if int(mask.sum()) < decay.MIN_FIT_SAMPLES:
+        raise ValueError(f"need >= {decay.MIN_FIT_SAMPLES} nonzero samples in window, "
+                         f"got {int(mask.sum())}")
+    rw, yw = r[mask], np.abs(y[mask])
+    idx = decay.envelope_maxima(rw, yw)
+    oscillatory = len(idx) >= decay.MIN_ENVELOPE_MAXIMA
+    if oscillatory:
+        rw, yw = rw[idx], yw[idx]
+    exponent, log_coeff, rms = decay._lstsq_fit(np.log(rw), np.log(yw), with_log)
+    return decay.DecayFit(exponent, log_coeff, (float(lo), float(hi)), rms, oscillatory)
+
+
+def masked_decay_windows(s, psi, weight):
+    """decay_diagnostics' dyadic-window sups as full-grid masks selected them."""
+    q = weight(s) * np.abs(psi)
+    sups, k = [], 7
+    while 2.0 ** (k + 1) <= s[-1]:
+        mask = masked(s, 2.0**k, 2.0 ** (k + 1))
+        if not mask.any():
+            return f"decay windows: no grid sample in [{2**k}, {2 ** (k + 1)}]; refine the grid"
+        sups.append(float(np.max(q[mask])))
+        k += 1
+    return sups
+
+
+class TestWindowSlices:
+    """The index ranges of decay.window_slice select, on the package grid,
+    the samples the full-grid boolean masks did."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return ShootingConfig(spec=ConeSpec(3, 3), s_max=2100.0).grid()
+
+    def test_slices_equal_masks(self, grid):
+        on = [grid[0], grid[1], grid[70000], grid[-2], grid[-1]]  # edges on samples
+        near = [np.nextafter(x, d) for x in on for d in (-np.inf, np.inf)]
+        between = [0.5 * (grid[k] + grid[k + 1]) for k in (0, 12345, len(grid) - 2)]
+        edges = on + near + between + [-1.0, 0.0, 1.0, 100.0, 128.0, 1e4]
+        windows = [(lo, hi) for lo in edges for hi in edges if lo <= hi]
+        windows += [(2.0**k, 2.0 ** (k + 1)) for k in range(7, 12)]
+        windows += [(10.0 * grid[0], 100.0 * grid[0]), (100.0, grid[-1]), (3.0, 2.0)]
+        resid = np.sin(grid)
+        for lo, hi in windows:
+            mask = masked(grid, lo, hi)
+            assert np.array_equal(grid[decay.window_slice(grid, lo, hi)], grid[mask]), (lo, hi)
+            if mask.any():
+                assert residual_sup(grid, resid, lo, hi) == np.max(np.abs(resid[mask]))
+            else:
+                with pytest.raises(ValueError, match="empty residual range"):
+                    residual_sup(grid, resid, lo, hi)
+
+    def test_fits_equal_the_masked_fits(self, grid):
+        """Exact zeros of psi drop out of the window; with the log term, so
+        does a sample at r = 1, which here is a window edge."""
+        r = grid.copy()
+        r[np.argmin(np.abs(r - 1.0))] = 1.0
+        psi = r**2 * np.sin(3.0 * np.log(r))
+        psi[::3] = 0.0
+        psi[np.abs(psi) < 1e-3 * r**2] = 0.0
+        for window in [(10.0 * r[0], 100.0 * r[0]), (r[1000], r[1500]), (100.0, r[-1]),
+                       (0.01, 1.0), (1.0, 50.0)]:
+            for with_log in (False, True):
+                want = masked_fit(r, psi, window, with_log)
+                assert decay.fit_power_law(r, psi, window, with_log) == want, (window, with_log)
+        with pytest.raises(ValueError, match="got 0"):
+            decay.fit_power_law(r, np.zeros_like(r), (1.0, 2.0))
+
+    def test_decay_windows_equal_the_masked_windows(self, jacobi_solutions):
+        for spec in [(2, 2), (2, 3), (3, 3)]:  # each sharp weight
+            curve, _, sol = jacobi_solutions[spec]
+            report = decay_diagnostics(sol, curve.spec)
+            assert report["sups"] == masked_decay_windows(sol.s, sol.psi,
+                                                          sharp_weight(curve.spec)[1])
+
+    def test_an_empty_dyadic_window_raises_the_same_error(self):
+        """Samples e^0.97 apart leave a dyadic window empty."""
+        spec = ConeSpec(3, 3)
+        s = ShootingConfig(spec=spec, s_max=2100.0, grid_step=1.0).grid()
+        sol = types.SimpleNamespace(s=s, psi=np.ones_like(s))
+        want = masked_decay_windows(s, sol.psi, sharp_weight(spec)[1])
+        assert isinstance(want, str)
+        with pytest.raises(DiagnosticError) as err:
+            decay_diagnostics(sol, spec)
+        assert str(err.value) == want
 
 
 class TestWeightedSupNorm:

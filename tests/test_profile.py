@@ -231,6 +231,20 @@ class TestGeometryTrace:
         assert np.isfinite(trace.A2[0])
         assert trace.A2[0] < 10.0
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 4)])
+    def test_fields_do_not_depend_on_the_memory_layout(self, m, n, short_curves):
+        """The same samples as contiguous rows and as strided rows of an
+        F-ordered array give the same bits in every field."""
+        curve = short_curves[(m, n)]
+        rows = np.stack([curve.a, curve.b, curve.theta])
+        strided = np.asfortranarray(rows)
+        assert not strided[0].flags.c_contiguous
+        traces = [geometry_trace(dataclasses.replace(curve, a=y[0], b=y[1], theta=y[2]))
+                  for y in (rows, strided)]
+        for field in dataclasses.fields(traces[0]):
+            want, got = (getattr(trace, field.name) for trace in traces)
+            assert want.tobytes() == got.tobytes(), field.name
+
     def test_rejects_axis_samples(self):
         spec = ConeSpec(2, 2)
         ray = cone_ray(spec, np.linspace(0.0, 1.0, 30))
