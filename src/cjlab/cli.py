@@ -343,17 +343,17 @@ def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
 def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     spec = cfg.shooting.spec
     sol = solve_jacobi(cfg.shooting)
-    report = decay_diagnostics(sol, spec)
-    origin = near_origin_behavior(sol, spec)
+    report = decay_diagnostics(sol)
+    origin = near_origin_behavior(sol)
     files = [_profile_csv(out, sol.curve, sol.trace)]
     hres_sup, hres_miss = _hres_gate(sol.trace)
 
     jac_path = out / "jacobi.csv"
-    sl = _stride(len(sol.s))
+    sl = _stride(len(sol.curve.s))
     write_csv(
         jac_path,
         ["s", "t", "p", "V", "ftilde", "psi", "dpsi", "residual"],
-        [c[sl] for c in (sol.s, sol.t, sol.ef.p, sol.ef.V, sol.ef.f_tilde,
+        [c[sl] for c in (sol.curve.s, sol.curve.t, sol.ef.p, sol.ef.V, sol.ef.f_tilde,
                          sol.psi, sol.dpsi, sol.residual_pointwise)],
     )
     files.append(jac_path)

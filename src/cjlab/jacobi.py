@@ -58,7 +58,6 @@ __all__ = [
     "FundamentalPair",
     "JacobiSolution",
     "NearOriginFit",
-    "DiagnosticError",
     "emden_fowler_transform",
     "left_fundamental_pair",
     "left_particular_vop",
@@ -85,29 +84,24 @@ RESIDUAL_FD_STEP = 7e-4
 
 @dataclass(frozen=True)
 class EmdenFowlerData:
-    """Log-radial transform of the reduced Jacobi equation."""
+    """Log-radial transform of the reduced Jacobi equation, sampled on
+    ``curve.t``; ``trace`` is the curve's geometry."""
 
-    t_grid: np.ndarray
     p: np.ndarray
     V: np.ndarray
     f_tilde: np.ndarray
     i0: int  # grid indices of the breakpoints t0 and t1
     i1: int
-    A: np.ndarray = field(repr=False)
-    zeta0: np.ndarray = field(repr=False)
-    dzeta0_dt: np.ndarray = field(repr=False)
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.exp(self.t_grid)
+    curve: ProfileCurve = field(repr=False)
+    trace: GeometryTrace = field(repr=False)
 
     @property
     def t0(self) -> float:
-        return float(self.t_grid[self.i0])
+        return float(self.curve.t[self.i0])
 
     @property
     def t1(self) -> float:
-        return float(self.t_grid[self.i1])
+        return float(self.curve.t[self.i1])
 
 
 @dataclass(frozen=True)
@@ -132,10 +126,9 @@ class FundamentalPair:
 
 @dataclass
 class JacobiSolution:
-    """Solution psi(s) of psi'' + alpha psi' + beta psi = f with diagnostics."""
+    """Solution psi(s) of psi'' + alpha psi' + beta psi = f with diagnostics,
+    sampled on ``curve.s``."""
 
-    s: np.ndarray
-    t: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
     residual_pointwise: np.ndarray
@@ -180,17 +173,7 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
 
     i0 = _left_breakpoint_index(t, trace.zeta0)
     i1 = _right_breakpoint_index(t, V, curve.spec, i0)
-    return EmdenFowlerData(
-        t_grid=t,
-        p=p,
-        V=V,
-        f_tilde=f_tilde,
-        i0=i0,
-        i1=i1,
-        A=A,
-        zeta0=trace.zeta0,
-        dzeta0_dt=trace.dzeta0_dt,
-    )
+    return EmdenFowlerData(p=p, V=V, f_tilde=f_tilde, i0=i0, i1=i1, curve=curve, trace=trace)
 
 
 def _left_breakpoint_index(t: np.ndarray, zeta0: np.ndarray) -> int:
@@ -271,16 +254,17 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     if k < 3:
         raise DiagnosticError("left pair: fewer than 3 grid samples on (t_min, t0]; "
                               "refine the grid")
-    z = ef.zeta0[:k]
+    curve, trace = ef.curve, ef.trace
+    z = trace.zeta0[:k]
     if np.any(z == 0.0) or (np.min(z) < 0.0 < np.max(z)):
         raise DiagnosticError(
             "left pair: zeta_0 changes sign on (t_min, t0]; shrink t0 below the first zero"
         )
-    t = ef.t_grid[:k]
+    t = curve.t[:k]
     p = ef.p[:k]
     u_plus = z / p
-    # d/dt of zeta_0/p, using p'/p = -(A-1)/2
-    du_plus = (ef.dzeta0_dt[:k] + z * (ef.A[:k] - 1.0) / 2.0) / p
+    # d/dt of zeta_0/p, using p'/p = -(A-1)/2 with A = alpha s
+    du_plus = (trace.dzeta0_dt[:k] + z * (trace.alpha[:k] * curve.s[:k] - 1.0) / 2.0) / p
     with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / u_plus**2
     if not np.all(np.isfinite(w)):
@@ -376,8 +360,6 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
                                   atol, t_mid).y
     resid = _fd_residual(curve, trace, f_grid, psi)
     return JacobiSolution(
-        s=s,
-        t=t,
         psi=psi,
         dpsi=y[4],
         residual_pointwise=resid,
@@ -453,7 +435,7 @@ def sharp_weight(spec: ConeSpec) -> tuple[str, Callable[[np.ndarray], np.ndarray
     return "sqrt_s_plus_1_over_log", lambda s: np.sqrt(s + 1.0) / np.log(s + 2.0)
 
 
-def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec) -> dict:
+def decay_diagnostics(sol: JacobiSolution) -> dict:
     """Dyadic-window sups of the N-appropriate weighted |psi|.
 
     Windows are [2^k, 2^{k+1}] with 2^k >= 128 (the first dyadic edge
@@ -461,8 +443,8 @@ def decay_diagnostics(sol: JacobiSolution, spec: ConeSpec) -> dict:
     the ratio of consecutive window sups staying below 1.1; it is None
     when the curve is too short for two windows, so there is no ratio.
     """
-    name, weight = sharp_weight(spec)
-    s, psi = sol.s, sol.psi
+    name, weight = sharp_weight(sol.curve.spec)
+    s, psi = sol.curve.s, sol.psi
     windows: list[list[float]] = []
     sups: list[float] = []
     k = 7
@@ -507,7 +489,7 @@ LOG_DETECT_IMPROVEMENT = 2.0
 LOG_DETECT_COEFF = 0.3
 
 
-def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec) -> NearOriginFit:
+def near_origin_behavior(sol: JacobiSolution) -> NearOriginFit:
     """Fitted exponent of psi as s -> 0+, with a log-correction detector.
 
     The window [10 eps, 100 eps] stays above the zone polluted
@@ -520,20 +502,21 @@ def near_origin_behavior(sol: JacobiSolution, spec: ConeSpec) -> NearOriginFit:
     reported exponent comes from the with-log fit, matching the expected
     s^2 |log s| near-axis envelope.
     """
-    lo, hi = 10.0 * sol.s[0], 100.0 * sol.s[0]
+    s = sol.curve.s
+    lo, hi = 10.0 * s[0], 100.0 * s[0]
     if hi >= 1.0:
         raise DiagnosticError(f"near-origin fit: window [{lo:.3g}, {hi:.3g}] must stay "
                               "below s = 1; lower epsilon")
     try:
-        plain = decay.fit_power_law(sol.s, sol.psi, (lo, hi))
-        with_log = decay.fit_power_law(sol.s, sol.psi, (lo, hi), with_log=True)
+        plain = decay.fit_power_law(s, sol.psi, (lo, hi))
+        with_log = decay.fit_power_law(s, sol.psi, (lo, hi), with_log=True)
     except ValueError as exc:
         raise DiagnosticError(f"near-origin fit on [{lo:.3g}, {hi:.3g}]: {exc}; "
                               "refine the grid") from exc
     detected = bool(plain.residual_rms >= LOG_DETECT_IMPROVEMENT * with_log.residual_rms
                     and with_log.log_coeff > LOG_DETECT_COEFF)
     return NearOriginFit(
-        exponent=with_log.exponent if spec.n == 2 else plain.exponent,
+        exponent=with_log.exponent if sol.curve.spec.n == 2 else plain.exponent,
         log_coeff=with_log.log_coeff,
         log_detected=detected,
         exponent_plain=plain.exponent,

@@ -47,7 +47,6 @@ __all__ = [
     "ShootingConfig",
     "ProfileCurve",
     "GeometryTrace",
-    "IntegrationFailure",
     "integrate_profile",
     "geometry_trace",
     "curvature_terms",

@@ -34,7 +34,6 @@ __all__ = [
     "ConeSpec",
     "SpectralData",
     "SolvabilityWindow",
-    "link_radii",
     "link_eigenvalues",
     "indicial_data",
     "predicted_nu_bar",
@@ -103,12 +102,6 @@ class SolvabilityWindow(NamedTuple):
         if not (self.lo + tol < nu < self.hi - tol):
             return False
         return all(abs(nu - r) > tol for r in self.excluded)
-
-
-def link_radii(spec: ConeSpec) -> tuple[float, float]:
-    """Radii of the two sphere factors of the link; squares sum to 1."""
-    N = spec.N
-    return (math.sqrt((spec.m - 1) / (N - 1)), math.sqrt((spec.n - 1) / (N - 1)))
 
 
 def _sphere_multiplicity(degree: int, ambient: int) -> int:

@@ -9,13 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cjlab import (
-    ConeSpec,
-    ShootingConfig,
-    geometry_trace,
-    integrate_profile,
-    solve_jacobi,
-)
+from cjlab.jacobi import solve_jacobi
+from cjlab.profile import ShootingConfig, geometry_trace, integrate_profile
+from cjlab.spectra import ConeSpec
 
 CORE_SPECS = [(2, 2), (2, 3), (3, 3), (4, 4)]
 

@@ -14,24 +14,18 @@ import pytest
 
 from conftest import log_criterion
 
-from cjlab import (
-    ConeSpec,
-    ShootingConfig,
-    alpha_of_R,
-    cone_crossings,
-    geometry_trace,
-    indicial_data,
-    integrate_profile,
-    link_eigenvalues,
-    minimal_graph_residual,
-    near_origin_behavior,
-    plateau_profile,
-    plateau_zeta0,
-    solve_jacobi,
-)
 from cjlab.decay import fit_power_law
-from cjlab.jacobi import decay_diagnostics, residual_sup
-from cjlab.profile import arc_length_defect, curvature_terms
+from cjlab.jacobi import decay_diagnostics, near_origin_behavior, residual_sup, solve_jacobi
+from cjlab.plateau import alpha_of_R, minimal_graph_residual, plateau_profile, plateau_zeta0
+from cjlab.profile import (
+    ShootingConfig,
+    arc_length_defect,
+    cone_crossings,
+    curvature_terms,
+    geometry_trace,
+    integrate_profile,
+)
+from cjlab.spectra import ConeSpec, indicial_data, link_eigenvalues
 from cjlab.cli import main as cli_main
 
 
@@ -125,7 +119,7 @@ def test_c05_zeta0_decay(long_curves):
 )
 def test_c06_potential_limits(m, n, v_minus, v_plus, jacobi_solutions):
     _, _, sol = jacobi_solutions[(m, n)]
-    t = sol.ef.t_grid
+    t = sol.ef.curve.t
     got_minus = sol.ef.V[np.searchsorted(t, -5.0)]
     got_plus = sol.ef.V[np.searchsorted(t, 7.0)]
     ok = abs(got_minus - v_minus) <= 1e-2 and abs(got_plus - v_plus) <= 1e-2
@@ -142,7 +136,7 @@ def test_c07_jacobi_solve(jacobi_configs, jacobi_solutions):
     ok = True
     for (m, n), (curve, trace, sol) in sorted(jacobi_solutions.items()):
         target = 1e-6 * (1.0 + float(np.max(np.abs(sol.f))))
-        res = residual_sup(sol.s, sol.residual_pointwise, 2e-3, 500.0)
+        res = residual_sup(sol.curve.s, sol.residual_pointwise, 2e-3, 500.0)
         drift = max(sol.left_pair.wronskian_drift, sol.middle_pair.wronskian_drift)
         ok &= res <= target and drift <= 1e-8
         details.append(f"({m},{n}) res={res:.1e}<= {target:.1e} drift={drift:.1e}")
@@ -164,7 +158,7 @@ def test_c07_jacobi_solve(jacobi_configs, jacobi_solutions):
     log_criterion(7, ok, "; ".join(details) + f"; superposition={super_rel:.1e}")
     for (m, n), (curve, trace, sol) in jacobi_solutions.items():
         target = 1e-6 * (1.0 + float(np.max(np.abs(sol.f))))
-        assert residual_sup(sol.s, sol.residual_pointwise, 2e-3, 500.0) <= target, (m, n)
+        assert residual_sup(sol.curve.s, sol.residual_pointwise, 2e-3, 500.0) <= target, (m, n)
         assert sol.left_pair.wronskian_drift <= 1e-8
         assert sol.middle_pair.wronskian_drift <= 1e-8
     assert super_rel <= 1e-8
@@ -173,8 +167,8 @@ def test_c07_jacobi_solve(jacobi_configs, jacobi_solutions):
 @pytest.mark.parametrize("m,n", [(3, 3), (2, 3), (2, 2)])
 def test_c08_sharp_decay_windows(m, n, jacobi_solutions):
     t0 = time.monotonic()
-    curve, _, sol = jacobi_solutions[(m, n)]
-    report = decay_diagnostics(sol, curve.spec)
+    _, _, sol = jacobi_solutions[(m, n)]
+    report = decay_diagnostics(sol)
     ratios = report["ratios"]
     elapsed = time.monotonic() - t0
     ok = all(r <= 1.1 for r in ratios)
@@ -193,12 +187,12 @@ def test_c08_sharp_decay_windows(m, n, jacobi_solutions):
 def test_c09_near_origin(jacobi_solutions):
     details = []
     for (m, n) in [(2, 3), (3, 3), (4, 4)]:
-        curve, _, sol = jacobi_solutions[(m, n)]
-        fit = near_origin_behavior(sol, curve.spec)
+        _, _, sol = jacobi_solutions[(m, n)]
+        fit = near_origin_behavior(sol)
         details.append(f"({m},{n}) exp={fit.exponent:.3f}")
         assert fit.exponent == pytest.approx(2.0, abs=0.1), (m, n)
-    curve22, _, sol22 = jacobi_solutions[(2, 2)]
-    fit22 = near_origin_behavior(sol22, curve22.spec)
+    _, _, sol22 = jacobi_solutions[(2, 2)]
+    fit22 = near_origin_behavior(sol22)
     details.append(
         f"(2,2) log_detected={fit22.log_detected} log_coeff={fit22.log_coeff:.3f}"
     )

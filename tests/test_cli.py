@@ -556,6 +556,41 @@ def run_fresh(script: str, *args: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def test_benchmark_tracer_records_each_layer(tmp_path):
+    """With the benchmark's tracer installed, each command records a span of
+    every layer it runs through, so no per-layer metric goes blank when a
+    call site changes."""
+    got = run_fresh("""
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+import cjlab.cli
+out = ["--out", sys.argv[2]]
+runs = {"jacobi": ["jacobi", "--m", "3", "--n", "3", "--s-max", "300", "--grid-step", "1e-3"],
+        "plateau": ["plateau", "--N", "5"],
+        "spectrum": ["spectrum", "--m", "4", "--n", "4"]}
+spans = {}
+for name, argv in runs.items():
+    rc = tracer.root(name, cjlab.cli.main, argv + out)
+    spans[name] = [rc, sorted({s["name"] for s in tracer.spans})]
+print(json.dumps(spans))
+""", str(ROOT / "perfbench" / "tracing.py"), str(tmp_path / "o"))
+    io = ["io.file_checksums", "io.write_csv", "io.write_json"]
+    assert got == {
+        "jacobi": [0, ["cli.main", "decay.fit_power_law", *io, "jacobi.decay_diagnostics",
+                       "jacobi.emden_fowler_transform", "jacobi.left_fundamental_pair",
+                       "jacobi.near_origin_behavior", "jacobi.solve_jacobi",
+                       "profile.geometry_trace"]],
+        "plateau": [0, ["cli.main", "decay.fit_power_law", *io, "plateau.plateau_profile",
+                        "plateau.plateau_zeta0"]],
+        "spectrum": [0, ["cli.main", "io.file_checksums", "io.write_json",
+                         "spectra.indicial_data", "spectra.link_eigenvalues"]],
+    }
+
+
 class TestImportLayering:
     """The cheap paths (import, spectrum, --help, --version and usage
     errors) and the closed-form plateau, evaluated on Python floats, load

@@ -7,9 +7,10 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as ref
 
-from cjlab import ConeSpec, ShootingConfig, solve_jacobi
 from cjlab import dop853 as stepper
-from cjlab.profile import RTOL, _rhs, _series_start
+from cjlab.jacobi import solve_jacobi
+from cjlab.profile import RTOL, ShootingConfig, _rhs, _series_start
+from cjlab.spectra import ConeSpec
 
 
 def test_tableau_is_scipys():

@@ -5,29 +5,27 @@ import types
 import numpy as np
 import pytest
 
-from cjlab import (
-    ConeSpec,
-    IntegrationFailure,
-    ShootingConfig,
-    cone_ray,
+from cjlab import DiagnosticError, IntegrationFailure, decay, jacobi, profile
+from cjlab.cli import RESIDUAL_TARGET_FACTOR
+from cjlab.jacobi import (
+    decay_diagnostics,
     emden_fowler_transform,
-    geometry_trace,
-    integrate_profile,
     left_fundamental_pair,
+    left_particular_vop,
     near_origin_behavior,
+    residual_sup,
+    sharp_weight,
     solve_jacobi,
     weighted_sup_norm,
 )
-from cjlab import decay, jacobi, profile
-from cjlab.cli import RESIDUAL_TARGET_FACTOR
-from cjlab.jacobi import (
-    DiagnosticError,
-    decay_diagnostics,
-    left_particular_vop,
-    residual_sup,
-    sharp_weight,
+from cjlab.profile import (
+    ShootingConfig,
+    cone_ray,
+    curvature_terms,
+    geometry_trace,
+    integrate_profile,
 )
-from cjlab.profile import curvature_terms
+from cjlab.spectra import ConeSpec
 
 
 def fd_second(t, y):
@@ -54,7 +52,7 @@ class TestEmdenFowlerTransform:
         for (m, n), (curve, trace, sol) in jacobi_solutions.items():
             ef = sol.ef
             # p(0) = 1; the grid needn't contain t = 0, so interpolate log p
-            log_p0 = np.interp(0.0, ef.t_grid, np.log(ef.p))
+            log_p0 = np.interp(0.0, ef.curve.t, np.log(ef.p))
             assert log_p0 == pytest.approx(0.0, abs=1e-7)
             assert np.all(ef.p > 0)
 
@@ -64,7 +62,7 @@ class TestEmdenFowlerTransform:
     )
     def test_potential_limits(self, m, n, v_lo, v_hi, jacobi_solutions):
         _, _, sol = jacobi_solutions[(m, n)]
-        t = sol.ef.t_grid
+        t = sol.ef.curve.t
         V = sol.ef.V
         assert abs(V[np.searchsorted(t, -5.0)] - v_lo) < 1e-2
         assert abs(V[np.searchsorted(t, 7.0)] - v_hi) < 1e-2
@@ -72,7 +70,7 @@ class TestEmdenFowlerTransform:
     def test_f_tilde_definition(self, jacobi_solutions):
         curve, trace, sol = jacobi_solutions[(3, 3)]
         ef = sol.ef
-        assert ef.f_tilde == pytest.approx(ef.s**2 * trace.trA3 / ef.p, rel=1e-12)
+        assert ef.f_tilde == pytest.approx(ef.curve.s**2 * trace.trA3 / ef.p, rel=1e-12)
 
     def test_requires_s_equal_one_in_range(self):
         spec = ConeSpec(2, 2)
@@ -164,7 +162,7 @@ class TestLeftFundamentalPair:
         z = trace.zeta0
         first_zero = np.nonzero(np.sign(z[1:]) * np.sign(z[:-1]) < 0)[0][0]
         bad = dataclasses.replace(sol.ef, i0=first_zero + 8)
-        assert bad.t0 == sol.t[first_zero + 8]  # the breakpoint follows its index
+        assert bad.t0 == sol.curve.t[first_zero + 8]  # the breakpoint follows its index
         with pytest.raises(DiagnosticError, match="left pair: zeta_0 changes sign"):
             left_fundamental_pair(bad)
 
@@ -242,7 +240,7 @@ class TestSolveJacobi:
     def test_residual_target(self, m, n, jacobi_solutions):
         _, trace, sol = jacobi_solutions[(m, n)]
         target = 1e-6 * (1.0 + np.max(np.abs(sol.f)))
-        assert sol.residual == residual_sup(sol.s, sol.residual_pointwise, 2e-3, 500.0)
+        assert sol.residual == residual_sup(sol.curve.s, sol.residual_pointwise, 2e-3, 500.0)
         assert sol.residual <= target
 
     def test_solution_is_c1_across_breakpoints(self, jacobi_solutions):
@@ -250,7 +248,7 @@ class TestSolveJacobi:
             assert np.all(np.isfinite(sol.psi))
             # no jumps: FD of psi across the stitch points stays smooth
             for tb in (sol.ef.t0, sol.ef.t1):
-                i = np.searchsorted(sol.t, tb)
+                i = np.searchsorted(sol.curve.t, tb)
                 window = sol.psi[i - 3 : i + 4]
                 d2 = np.abs(np.diff(window, 2))
                 assert d2.max() < 1e-5
@@ -278,7 +276,7 @@ class TestSolveJacobi:
             # solutions of the s-equation: psi'' + alpha psi' + beta psi = 0
             i0, i1 = sol.ef.i0, sol.ef.i1
             sl = slice(i0, i1 + 1)
-            t, s = sol.t[sl], sol.s[sl]
+            t, s = sol.curve.t[sl], sol.curve.s[sl]
             p = sol.ef.p[sl]
             for v in (pair.u_plus, pair.u_minus):
                 psi = p * v
@@ -300,7 +298,7 @@ class TestSolveJacobi:
 
         for _, _, sol in jacobi_solutions.values():
             pair, sl = sol.middle_pair, slice(sol.ef.i0, sol.ef.i1 + 1)
-            V = CubicSpline(sol.t[sl], sol.ef.V[sl])
+            V = CubicSpline(sol.curve.t[sl], sol.ef.V[sl])
             for data, u, du in (([1.0, 0.0], pair.u_plus, pair.du_plus),
                                 ([0.0, 1.0], pair.u_minus, pair.du_minus)):
                 ref = solve_ivp(lambda tt, y: [y[1], -V(tt) * y[0]], (pair.t[0], pair.t[-1]),
@@ -343,8 +341,8 @@ def test_m_is_n_plus_1_below_the_default_eps(n):
 class TestNearOrigin:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (4, 4)])
     def test_quadratic_exponent(self, m, n, jacobi_solutions):
-        curve, _, sol = jacobi_solutions[(m, n)]
-        fit = near_origin_behavior(sol, curve.spec)
+        _, _, sol = jacobi_solutions[(m, n)]
+        fit = near_origin_behavior(sol)
         assert fit.exponent == pytest.approx(2.0, abs=0.1)
 
     def test_leading_coefficient(self, jacobi_solutions):
@@ -357,13 +355,13 @@ class TestNearOrigin:
             assert measured == pytest.approx(trace.trA3[0] / (2 * n), rel=0.05)
 
     def test_log_correction_detected_only_for_n2(self, jacobi_solutions):
-        curve, _, sol = jacobi_solutions[(2, 2)]
-        fit = near_origin_behavior(sol, curve.spec)
+        _, _, sol = jacobi_solutions[(2, 2)]
+        fit = near_origin_behavior(sol)
         assert fit.log_detected
         assert fit.log_coeff > 0.0
         assert fit.exponent == pytest.approx(2.0, abs=0.15)
-        curve3, _, sol3 = jacobi_solutions[(3, 3)]
-        assert not near_origin_behavior(sol3, curve3.spec).log_detected
+        _, _, sol3 = jacobi_solutions[(3, 3)]
+        assert not near_origin_behavior(sol3).log_detected
 
 
 class TestDecayDiagnostics:
@@ -373,20 +371,20 @@ class TestDecayDiagnostics:
         assert sharp_weight(ConeSpec(2, 2))[0] == "sqrt_s_plus_1_over_log"
 
     def test_windows_are_dyadic_beyond_100(self, jacobi_solutions):
-        curve, _, sol = jacobi_solutions[(3, 3)]
-        report = decay_diagnostics(sol, curve.spec)
+        _, _, sol = jacobi_solutions[(3, 3)]
+        report = decay_diagnostics(sol)
         assert report["windows"][0] == [128.0, 256.0]
         for (lo, hi) in report["windows"]:
             assert hi == 2 * lo and lo >= 100.0
 
     def test_plain_weight_bounded_for_33(self, jacobi_solutions):
-        curve, _, sol = jacobi_solutions[(3, 3)]
-        assert decay_diagnostics(sol, curve.spec)["bounded_within_factor"] is True
+        _, _, sol = jacobi_solutions[(3, 3)]
+        assert decay_diagnostics(sol)["bounded_within_factor"] is True
 
     def test_bounded_flag_is_null_without_ratios(self, short_configs):
         """s_max = 200 holds no dyadic window, so there is no ratio to bound."""
         cfg = short_configs[(3, 3)]
-        report = decay_diagnostics(solve_jacobi(cfg), cfg.spec)
+        report = decay_diagnostics(solve_jacobi(cfg))
         assert report["windows"] == [] and report["ratios"] == []
         assert report["bounded_within_factor"] is None
 
@@ -472,19 +470,20 @@ class TestWindowSlices:
     def test_decay_windows_equal_the_masked_windows(self, jacobi_solutions):
         for spec in [(2, 2), (2, 3), (3, 3)]:  # each sharp weight
             curve, _, sol = jacobi_solutions[spec]
-            report = decay_diagnostics(sol, curve.spec)
-            assert report["sups"] == masked_decay_windows(sol.s, sol.psi,
+            report = decay_diagnostics(sol)
+            assert report["sups"] == masked_decay_windows(curve.s, sol.psi,
                                                           sharp_weight(curve.spec)[1])
 
     def test_an_empty_dyadic_window_raises_the_same_error(self):
         """Samples e^0.97 apart leave a dyadic window empty."""
         spec = ConeSpec(3, 3)
         s = ShootingConfig(spec=spec, s_max=2100.0, grid_step=1.0).grid()
-        sol = types.SimpleNamespace(s=s, psi=np.ones_like(s))
+        sol = types.SimpleNamespace(curve=types.SimpleNamespace(spec=spec, s=s),
+                                    psi=np.ones_like(s))
         want = masked_decay_windows(s, sol.psi, sharp_weight(spec)[1])
         assert isinstance(want, str)
         with pytest.raises(DiagnosticError) as err:
-            decay_diagnostics(sol, spec)
+            decay_diagnostics(sol)
         assert str(err.value) == want
 
 

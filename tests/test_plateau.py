@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cjlab.plateau
-from cjlab import (
+from cjlab import decay
+from cjlab.plateau import (
     alpha_of_R,
-    decay,
     minimal_graph_residual,
     plateau_profile,
     plateau_zeta0,

@@ -6,25 +6,23 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from cjlab import (
-    ConeSpec,
-    IntegrationFailure,
+from cjlab import IntegrationFailure
+from cjlab.decay import fit_power_law
+from cjlab.profile import (
+    MAX_GRID_SAMPLES,
     ShootingConfig,
+    _rhs,
+    _series_start,
+    arc_length_defect,
     cone_crossings,
     cone_ray,
+    curvature_terms,
     geometry_trace,
     integrate_profile,
     jacobi_field_rotation,
     jacobi_field_translation,
 )
-from cjlab.decay import fit_power_law
-from cjlab.profile import (
-    MAX_GRID_SAMPLES,
-    _rhs,
-    _series_start,
-    arc_length_defect,
-    curvature_terms,
-)
+from cjlab.spectra import ConeSpec
 
 
 def tiny_start_oracle(m, n, start_axis, eps):

@@ -8,7 +8,6 @@ from cjlab.spectra import (
     ConeSpec,
     indicial_data,
     link_eigenvalues,
-    link_radii,
     predicted_nu_bar,
     regime_of,
     solvability_window,
@@ -62,28 +61,6 @@ class TestConeSpec:
         spec = ConeSpec(*mn)
         assert spec.N == mn[0] + mn[1] - 1
         assert spec.N >= 3
-
-
-class TestLinkRadii:
-    def test_simons_type(self):
-        assert link_radii(ConeSpec(2, 2)) == pytest.approx(
-            (math.sqrt(0.5), math.sqrt(0.5)), abs=1e-15
-        )
-        assert link_radii(ConeSpec(4, 4)) == pytest.approx(
-            (math.sqrt(0.5), math.sqrt(0.5)), abs=1e-15
-        )
-
-    def test_asymmetric(self):
-        # radii (sqrt((m-1)/(N-1)), sqrt((n-1)/(N-1))) with N-1 = m+n-2 = 3
-        assert link_radii(ConeSpec(2, 3)) == pytest.approx(
-            (math.sqrt(1 / 3), math.sqrt(2 / 3)), abs=1e-15
-        )
-
-    @given(spec_mn)
-    def test_squares_sum_to_one(self, mn):
-        ra, rb = link_radii(ConeSpec(*mn))
-        assert ra > 0 and rb > 0
-        assert ra**2 + rb**2 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLinkEigenvalues:
