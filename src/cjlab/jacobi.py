@@ -41,8 +41,8 @@ from typing import Callable
 import numpy as np
 
 from cjlab import DiagnosticError, IntegrationFailure, decay
+from cjlab.dop853 import RTOL, dop853
 from cjlab.profile import (
-    RTOL,
     GeometryTrace,
     ProfileCurve,
     ShootingConfig,
@@ -302,7 +302,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     theta), from the series start at s = epsilon, and (psi, psi'), from
     zero data there (the truncated stand-in for the solution decaying at
     the axis), are one DOP853 run in s on ``cfg.grid()`` with rtol
-    :data:`cjlab.profile.RTOL` and atol = 1e-14 epsilon^2 (psi grows like
+    :data:`cjlab.dop853.RTOL` and atol = 1e-14 epsilon^2 (psi grows like
     s^2 from the axis).  Its (a, b, theta) samples are the returned
     ``curve``, whose :func:`geometry_trace` is ``trace``; a sample outside
     the open quadrant, a stall (at once below epsilon ~ 1e-142), a
@@ -315,8 +315,6 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     noise.  A grid too coarse for a diagnostic raises
     :class:`DiagnosticError` naming the stage.
     """
-    from cjlab.dop853 import dop853  # deferred: paths that do not integrate skip it
-
     spec = cfg.spec
     calls = itertools.count(1)
     last_s = cfg.epsilon  # largest s at which rhs saw a finite state
@@ -356,8 +354,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
         return [du, dw, -v * u, -v * w]
 
     with np.errstate(all="ignore"):  # a NaN drift shows it
-        vp, vm, dvp, dvm = dop853(pair_rhs, t_mid[0], t_mid[-1], [1.0, 0.0, 0.0, 1.0],
-                                  atol, t_mid).y
+        vp, vm, dvp, dvm = dop853(pair_rhs, [1.0, 0.0, 0.0, 1.0], atol, t_mid).y
     resid = _fd_residual(curve, trace, f_grid, psi)
     return JacobiSolution(
         psi=psi,
@@ -458,7 +455,7 @@ def decay_diagnostics(sol: JacobiSolution) -> dict:
         k += 1
     ratios = [sups[j + 1] / sups[j] for j in range(len(sups) - 1)]
     exponent = float("nan")
-    if np.count_nonzero(psi[np.searchsorted(s, 100.0):]) >= 20:
+    if np.count_nonzero(psi[np.searchsorted(s, 100.0):]) >= decay.MIN_FIT_SAMPLES:
         exponent = decay.fit_power_law(s, psi, (100.0, float(s[-1]))).exponent
     return {
         "weight": name,

@@ -27,8 +27,8 @@ The series is validated in the test suite against a tiny-epsilon
 integration started from the regularised limit phi'(0+) = -(m-1)/n.
 The curve leaving (0, 1) instead is the (n, m) curve mirrored by
 (a, b, phi) -> (b, a, pi/2 - phi).  :func:`integrate_profile` runs this
-system at rtol :data:`RTOL` and atol RTOL / 100; ``solve_jacobi`` runs its
-right-hand side with (psi, psi') appended.
+system at rtol :data:`cjlab.dop853.RTOL` and atol RTOL / 100;
+``solve_jacobi`` runs its right-hand side with (psi, psi') appended.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from cjlab import IntegrationFailure
+from cjlab.dop853 import RTOL, dop853
 from cjlab.spectra import ConeSpec
 
 __all__ = [
@@ -64,9 +65,6 @@ MAX_GRID_SAMPLES = 1_000_000
 #: The profile's stiffness, and with it the integrator's step count, grows
 #: like max(m, n): about 1 s per 10,000 at the default settings.
 MAX_SHOOTING_DIMENSION = 100
-#: Relative tolerance of every ODE integration in the package; at 1e-12 the
-#: m = 2, n >= 8 profiles miss the 1e-7 H-residual target.
-RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -151,13 +149,12 @@ def _series_start(spec: ConeSpec, eps: float) -> list[float]:
     return [1.0 + (m - 1) * eps**2 / (2 * n), eps, (m - 1) * eps / n]
 
 
-def _rhs(s: float, y: np.ndarray, spec: ConeSpec, f: Callable | None = None):
-    """Derivative of (a, b, theta), or of (a, b, theta, psi, psi') with
-    psi'' = f - alpha psi' - |A|^2 psi, f(s, a, b, phi) the forcing (None: tr A^3)."""
+def _rhs(s: float, y: np.ndarray, spec: ConeSpec):
+    """Derivative of (a, b, theta)."""
     try:
-        return _rhs_at(spec, f, s, *y.tolist())
+        return _rhs_at(spec, None, s, *y.tolist())
     except ArithmeticError:  # a float raises on x / 0 or x**2 past the range; numpy gives inf
-        return _rhs_at(spec, f, s, *y)
+        return _rhs_at(spec, None, s, *y)
 
 
 def _rhs_at(spec: ConeSpec, f, s, a, b, theta, psi=None, dpsi=None) -> list:
@@ -186,18 +183,15 @@ def _integrate(cfg: ShootingConfig, fun: Callable, y0: list, atol: float, stage:
     its (a, b, theta) samples, and all samples.  A stall (named ``stage``) or a
     sample outside the open quadrant raises :class:`IntegrationFailure` with
     the last valid s."""
-    from cjlab.dop853 import dop853  # deferred: it imports RTOL from this module
-
     spec, s = cfg.spec, cfg.grid()
     with np.errstate(all="ignore"):  # overflow ends the run or shows in Hres
-        sol = dop853(fun, s[0], s[-1], y0, atol, s)
+        sol = dop853(fun, y0, atol, s)
     if sol.status != 0:  # a curve that crossed an axis before the stall says so first
         _sampled_curve(spec, sol.t, sol.y)
         last_s = float(sol.t[-1]) if len(sol.t) else cfg.epsilon
         raise IntegrationFailure(f"{stage} for (m,n)=({spec.m},{spec.n}) stopped at "
                                  f"s={last_s:.6g}: {sol.message}", last_s=last_s)
-    y = np.ascontiguousarray(sol.y)  # one contiguous row per component, for the diagnostics
-    return _sampled_curve(spec, s, y, accepted_steps=sol.nfev), y
+    return _sampled_curve(spec, s, sol.y, accepted_steps=sol.nfev), sol.y
 
 
 def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:

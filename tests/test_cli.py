@@ -347,7 +347,7 @@ class TestBadInputsExit2:
         ["spectrum", "--m", "2", "--n", "2", "--specs", "9,9"],
         ["report", "--m", "2"],
         ["jacobi", "--m", "2", "--n", "2", "--tol", "1e-12"],
-        # every integration runs at profile.RTOL, so no command takes a tolerance
+        # every integration runs at dop853.RTOL, so no command takes a tolerance
         ["profile", "--m", "2", "--n", "2", "--tol", "nan"],
         ["profile", "--m", "2", "--n", "2", "--tol", "-1"],
         ["report", "--specs", "2,2", "--tol", "nan"],
@@ -531,6 +531,13 @@ class TestLibraryLayering:
         offenders = [f"{module}.py:{line} {name}"
                      for line, name in imported_modules(self.LIBRARY / f"{module}.py")
                      if name.split(".")[:2] in (["cjlab", "profile"], ["cjlab", "jacobi"])]
+        assert offenders == []
+
+    def test_stepper_imports_no_package_module(self):
+        """dop853 sits below the profile: it imports no cjlab module."""
+        offenders = [f"dop853.py:{line} {name}"
+                     for line, name in imported_modules(self.LIBRARY / "dop853.py")
+                     if name.split(".")[0] == "cjlab"]
         assert offenders == []
 
 
@@ -771,11 +778,12 @@ class TestJacobiCommand:
     def test_two_ivps_per_run(self, tmp_path, monkeypatch):
         """The profile is integrated once, together with psi; profile.csv is
         written from those samples."""
-        from cjlab import dop853 as stepper
+        from cjlab import dop853 as stepper, jacobi, profile
 
         calls = []
         run = stepper.dop853
-        monkeypatch.setattr(stepper, "dop853", lambda *a: calls.append(len(a[3])) or run(*a))
+        for module in (profile, jacobi):  # the two callers bind the stepper on import
+            monkeypatch.setattr(module, "dop853", lambda *a: calls.append(len(a[1])) or run(*a))
         out = tmp_path / "o"
         assert main(["jacobi", *M2N2, "--s-max", "200", "--out", str(out)]) == 0
         assert calls == [5, 4]  # (a, b, theta, psi, psi'), then the middle pair

@@ -206,7 +206,7 @@ class TestSolveJacobi:
 
     def test_profile_integrated_with_psi_matches_curve(self, jacobi_configs, jacobi_solutions):
         """The curve the IVP carries along with psi retraces the profile that
-        integrate_profile computes on its own, both at profile.RTOL."""
+        integrate_profile computes on its own, both at dop853.RTOL."""
         for key, cfg in jacobi_configs.items():
             curve, sol = integrate_profile(cfg), jacobi_solutions[key][2]
             assert np.array_equal(sol.curve.s, curve.s)
@@ -312,7 +312,8 @@ class TestSolveJacobi:
 
         calls = []
         run = stepper.dop853
-        monkeypatch.setattr(stepper, "dop853", lambda *a: calls.append(len(a[3])) or run(*a))
+        for module in (profile, jacobi):  # the two callers bind the stepper on import
+            monkeypatch.setattr(module, "dop853", lambda *a: calls.append(len(a[1])) or run(*a))
         solve_jacobi(short_configs[(2, 2)])
         assert calls == [5, 4]  # (a, b, phi, psi, psi_t), then the pair
 
