@@ -373,6 +373,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     metrics = {
         "residual_sup": res,
         "residual_target": target,
+        "dpsi_defect": sol.dpsi_defect,
         "H_residual_sup": hres_sup,
         "t0": sol.ef.t0,
         "t1": sol.ef.t1,

@@ -29,6 +29,10 @@ u_+^{-2} (a four-point cubic quadrature on the t grid), and
 :func:`left_particular_vop` builds psi / p from them by quadrature as an
 independent cross-check; on [t0, t1] the Wronskian drift of a pair with
 unit-matrix data at t0 measures the integration error.
+
+The residual of psi needs one finite difference only: the state carries
+psi', so psi'' is the five-point derivative of its samples in t, the
+stencil of the profile's H-residual.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from cjlab.profile import (
     GeometryTrace,
     ProfileCurve,
     ShootingConfig,
+    _fd_derivative_log,
     _integrate,
     _rhs_at,
     _series_start,
@@ -76,10 +81,6 @@ V_SETTLE_TOL = 1e-2
 #: run with m, n <= 10 takes at most 17,240 ((10,9), 1/29 of the budget),
 #: but (64,64) takes 121,814, (100,100) 180,377 and (100,99) 232,790 (47 %).
 MAX_PSI_NFEV = 500_000
-
-#: finite-difference step (in t) targeted by the residual evaluator;
-#: balances h^2 truncation against roundoff amplified by 1/h^2.
-RESIDUAL_FD_STEP = 7e-4
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,8 @@ class JacobiSolution:
     dpsi: np.ndarray
     residual_pointwise: np.ndarray
     residual: float
+    #: sup |dpsi/ds - psi'| / sup |psi'|: whether psi' is the derivative of psi
+    dpsi_defect: float
     ef: EmdenFowlerData
     left_pair: FundamentalPair
     middle_pair: FundamentalPair
@@ -308,12 +311,13 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     the open quadrant, a stall (at once below epsilon ~ 1e-142), a
     non-finite state handed to the right-hand side or more than
     :data:`MAX_PSI_NFEV` evaluations raise :class:`IntegrationFailure`.
-    The residual is re-evaluated from the psi samples by centred finite
-    differences in t = log s with step close to :data:`RESIDUAL_FD_STEP`,
-    and reported as a sup over s in [2 epsilon, min(500, s_max / 2)],
-    beyond which the residual of the decaying tail is finite-difference
-    noise.  A grid too coarse for a diagnostic raises
-    :class:`DiagnosticError` naming the stage.
+    The residual psi'' + alpha psi' + beta psi - f takes psi'' from the
+    five-point derivative in t = log s of the state's psi' samples, and
+    is reported as a sup over s >= 2 epsilon; ``dpsi_defect`` is
+    sup |dpsi/ds - psi'| / sup |psi'| over the same samples, with dpsi/ds
+    from the same stencil on psi, and reads 0 for psi = 0.  A grid too
+    coarse for a diagnostic raises :class:`DiagnosticError` naming the
+    stage.
     """
     spec = cfg.spec
     calls = itertools.count(1)
@@ -340,7 +344,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     trace = geometry_trace(curve)
     f_grid = trace.trA3 if f is None else np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
     ef = emden_fowler_transform(curve, trace, f_grid)
-    psi = y[3]
+    psi, dpsi = y[3], y[4]
     # diagnostics only: the exact left pair, and the Wronskian drift of a
     # pair with unit-matrix data at t0 integrated across [t0, t1], both
     # columns as one IVP in (u_+, u_-, u_+', u_-')
@@ -355,12 +359,16 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
 
     with np.errstate(all="ignore"):  # a NaN drift shows it
         vp, vm, dvp, dvm = dop853(pair_rhs, [1.0, 0.0, 0.0, 1.0], atol, t_mid).y
-    resid = _fd_residual(curve, trace, f_grid, psi)
+    resid = _fd_residual(curve, trace, f_grid, psi, dpsi)
+    lo = 2.0 * s[0]  # past the zero-data start
+    slip = residual_sup(s, _fd_derivative_log(t, psi) / s - dpsi, lo, s[-1])
+    dpsi_sup = residual_sup(s, dpsi, lo, s[-1])
     return JacobiSolution(
         psi=psi,
-        dpsi=y[4],
+        dpsi=dpsi,
         residual_pointwise=resid,
-        residual=residual_sup(s, resid, 2.0 * s[0], min(500.0, s[-1] / 2.0)),
+        residual=residual_sup(s, resid, lo, s[-1]),
+        dpsi_defect=slip / dpsi_sup if dpsi_sup else 0.0,
         ef=ef,
         left_pair=left,
         middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp, du_minus=dvm),
@@ -377,34 +385,12 @@ def _fd_residual(
     trace: GeometryTrace,
     f: np.ndarray,
     psi: np.ndarray,
+    dpsi: np.ndarray,
 ) -> np.ndarray:
-    """Centred-FD evaluation of psi'' + alpha psi' + beta psi - f.
-
-    Derivatives are taken in t = log s with stride k*h close to
-    :data:`RESIDUAL_FD_STEP` and mapped back through psi'' =
-    (psi_tt - psi_t)/s^2, psi' = psi_t/s.  Edge samples that the stencil
-    cannot reach repeat the nearest interior value.
-    """
-    t, s = curve.t, curve.s
-    h = t[1] - t[0]
-    k = max(1, int(round(RESIDUAL_FD_STEP / h)))
-    if len(t) < 2 * k + 3:
-        k = max(1, (len(t) - 3) // 2)
-    hk = k * h
-    ptt = (psi[2 * k :] - 2.0 * psi[k:-k] + psi[: -2 * k]) / hk**2
-    pt = (psi[2 * k :] - psi[: -2 * k]) / (2.0 * hk)
-    mid = slice(k, -k)
-    r = (
-        (ptt - pt) / s[mid] ** 2
-        + trace.alpha[mid] * pt / s[mid]
-        + trace.A2[mid] * psi[mid]
-        - f[mid]
-    )
-    out = np.empty_like(psi)
-    out[mid] = r
-    out[:k] = r[0]
-    out[-k:] = r[-1]
-    return out
+    """psi'' + alpha psi' + beta psi - f, with psi'' the five-point
+    derivative of the state's psi' samples in t = log s, divided by s."""
+    return (_fd_derivative_log(curve.t, dpsi) / curve.s + trace.alpha * dpsi
+            + trace.A2 * psi - f)
 
 
 def residual_sup(s: np.ndarray, resid: np.ndarray, lo: float, hi: float) -> float:

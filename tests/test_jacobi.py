@@ -240,8 +240,39 @@ class TestSolveJacobi:
     def test_residual_target(self, m, n, jacobi_solutions):
         _, trace, sol = jacobi_solutions[(m, n)]
         target = 1e-6 * (1.0 + np.max(np.abs(sol.f)))
-        assert sol.residual == residual_sup(sol.curve.s, sol.residual_pointwise, 2e-3, 500.0)
+        assert sol.residual == residual_sup(sol.curve.s, sol.residual_pointwise, 2e-3,
+                                            sol.curve.s[-1])
         assert sol.residual <= target
+
+    def test_residual_on_a_coarse_grid(self):
+        """psi'' from the state's psi' keeps the residual of an accurate psi
+        far below its target at h = 1e-2, where two centred differences of
+        the psi samples read 23 times the target."""
+        sol = solve_jacobi(ShootingConfig(spec=ConeSpec(3, 3), s_max=2100.0, grid_step=1e-2))
+        assert sol.residual <= 1e-2 * RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(sol.f)))
+
+    def test_residual_and_dpsi_defect_see_a_loose_psi(self, monkeypatch):
+        """With psi's atol 1e14 times looser (psi off by 2e-7) both checks
+        read far above what they read on the accurate psi."""
+        cfg = ShootingConfig(spec=ConeSpec(3, 3), s_max=50.0, grid_step=1e-3)
+        sol = solve_jacobi(cfg)
+        target = RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(sol.f)))
+        assert sol.residual <= 1e-4 * target and sol.dpsi_defect <= 1e-8
+        monkeypatch.setattr(jacobi, "_integrate", lambda cfg, fun, y0, atol, stage:
+                            profile._integrate(cfg, fun, y0, 1e14 * atol, stage))
+        loose = solve_jacobi(cfg)
+        assert loose.residual > RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(loose.f)))
+        assert loose.dpsi_defect > 1e-6
+
+    def test_dpsi_defect(self, jacobi_solutions):
+        for _, _, sol in jacobi_solutions.values():
+            assert np.isfinite(sol.dpsi_defect) and sol.dpsi_defect <= 1e-8
+
+    def test_zero_forcing(self):
+        """f = 0 gives psi = 0, whose psi' is exactly its derivative."""
+        cfg = ShootingConfig(spec=ConeSpec(3, 3), s_max=50.0, grid_step=1e-2)
+        sol = solve_jacobi(cfg, lambda s, a, b, phi: 0.0 * s)
+        assert not np.any(sol.psi) and sol.residual == 0.0 and sol.dpsi_defect == 0.0
 
     def test_solution_is_c1_across_breakpoints(self, jacobi_solutions):
         for _, _, sol in jacobi_solutions.values():
