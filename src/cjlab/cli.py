@@ -378,7 +378,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
         "t0": sol.ef.t0,
         "t1": sol.ef.t1,
         "psi_atol": sol.atol,
-        "psi_nfev": sol.nfev,
+        "psi_nfev": sol.curve.accepted_steps,
         "wronskian_drift_middle": sol.middle_pair.wronskian_drift,
         "near_origin_exponent": origin.exponent,
         "log_detected": origin.log_detected,

@@ -23,12 +23,13 @@ removes the first-order term and yields
 where A_t = alpha'(e^t) e^{2t} + A is evaluated from the closed form of
 alpha' along the profile (no numerical differentiation).  V tends to
 -(n-2)^2/4 as t -> -infinity and to -(N-2)^2/4 + (N-1) as t -> +infinity.
-Its fundamental pairs are diagnostics of the solve: on t <= t0, where
-zeta_0 is sign-definite, u_+ = zeta_0 / p is exact and u_- = u_+ int
-u_+^{-2} (a four-point cubic quadrature on the t grid), and
-:func:`left_particular_vop` builds psi / p from them by quadrature as an
-independent cross-check; on [t0, t1] the Wronskian drift of a pair with
-unit-matrix data at t0 measures the integration error.
+The solve reports one fundamental-pair diagnostic: on [t0, t1] the
+Wronskian drift of a pair with unit-matrix data at t0, which measures
+that pair's own integration error.  On t <= t0, where zeta_0 is
+sign-definite, :func:`left_fundamental_pair` (u_+ = zeta_0 / p exact,
+u_- = u_+ int u_+^{-2} by a four-point cubic quadrature on the t grid)
+and :func:`left_particular_vop` (psi / p from that pair by quadrature)
+are independent cross-checks computed only on demand.
 
 The residual of psi needs one finite difference only: the state carries
 psi', so psi'' is the five-point derivative of its samples in t, the
@@ -137,14 +138,12 @@ class JacobiSolution:
     #: sup |dpsi/ds - psi'| / sup |psi'|: whether psi' is the derivative of psi
     dpsi_defect: float
     ef: EmdenFowlerData
-    left_pair: FundamentalPair
     middle_pair: FundamentalPair
     f: np.ndarray
     #: the profile (a, b, theta) integrated with psi, and its geometry
     curve: ProfileCurve = field(repr=False)
     trace: GeometryTrace = field(repr=False)
     atol: float
-    nfev: int
 
 
 def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
@@ -154,7 +153,10 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
     Since A = d/dt ((m-1) log a + (n-1) log b), the weight is the closed
     form p = exp(L(0) - L) with L = ((m-1) log a + (n-1) log b - t) / 2.
     The grid must contain s = 1 (t = 0), where p is normalised to 1; L(0)
-    is the cubic through the four samples nearest t = 0.
+    is the cubic through the four samples nearest t = 0.  A p past the
+    float range (p ~ s^{-(n-2)/2} near the axis, so at small epsilon and
+    large n) raises :class:`DiagnosticError`, as does a grid too short
+    for the breakpoints t0 and t1.
     """
     t = curve.t
     s = curve.s
@@ -167,8 +169,10 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
     m, n = curve.spec.m, curve.spec.n
     L = 0.5 * ((m - 1) * np.log(curve.a) + (n - 1) * np.log(curve.b) - t)
     k = int(np.clip(np.searchsorted(t, 0.0) - 2, 0, len(t) - 4))
-    with np.errstate(over="ignore"):  # an infinite p stops the left pair
+    with np.errstate(over="ignore"):  # an infinite p raises below
         p = np.exp(np.polyval(np.polyfit(t[k : k + 4], L[k : k + 4], 3), 0.0) - L)
+    if not np.all(np.isfinite(p)):
+        raise DiagnosticError("log-radial transform: p leaves the float range; raise epsilon")
     A = trace.alpha * s
     A_t = trace.alpha_prime * s * s + A
     V = -0.25 * (A - 1.0) ** 2 - 0.5 * A_t + trace.A2 * s * s
@@ -180,15 +184,21 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
 
 
 def _left_breakpoint_index(t: np.ndarray, zeta0: np.ndarray) -> int:
-    """Last grid index one unit of t before the first sign change of zeta_0."""
+    """Grid index one unit of t before the first sign change of zeta_0, at
+    least 16 samples from the start and 16 from the end (the end wins on
+    grids of under 32 samples).  Fewer than the 3 samples on [t_min, t0]
+    that :func:`left_fundamental_pair` needs raise :class:`DiagnosticError`."""
     sgn = np.sign(zeta0)
     flips = np.nonzero(sgn[1:] * sgn[:-1] < 0)[0]
     if len(flips):
         target = t[flips[0]] - 1.0
     else:
         target = min(1.0, t[-1] - 4.0)  # zeta_0 sign-definite everywhere
-    i0 = int(np.searchsorted(t, target))
-    return int(np.clip(i0, 16, len(t) - 16))
+    i0 = min(max(int(np.searchsorted(t, target)), 16), len(t) - 16)
+    if i0 < 2:
+        raise DiagnosticError(f"breakpoints: {len(t)} grid samples leave fewer than 3 on "
+                              "[t_min, t0]; refine the grid")
+    return i0
 
 
 def _right_breakpoint_index(t: np.ndarray, V: np.ndarray, spec: ConeSpec, i0: int) -> int:
@@ -199,7 +209,7 @@ def _right_breakpoint_index(t: np.ndarray, V: np.ndarray, spec: ConeSpec, i0: in
     target = max(target, t[i0] + 2.0)
     target = min(target, t[-1] - 2.0)
     i1 = int(np.searchsorted(t, target))
-    return int(np.clip(i1, i0 + 1, len(t) - 8))
+    return int(np.clip(i1, i0 + 3, len(t) - 8))  # [t0, t1] holds at least 4 samples
 
 
 def _cumulative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -216,16 +226,11 @@ def _cumulative(t: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _cubic_interpolant(t: np.ndarray, v: np.ndarray) -> Callable[[float], float]:
     """x -> the Lagrange cubic through the samples v at the four points of
-    the uniform grid t nearest x (the line or parabola through all of them
-    if t has 2 or 3).  The weights are polynomials in r = (x - t[0]) / h,
-    so where the nodes lie at exact multiples of h from t[0] the samples
-    are returned exactly there."""
+    the uniform grid t (at least 4 samples) nearest x.  The weights are
+    polynomials in r = (x - t[0]) / h, so where the nodes lie at exact
+    multiples of h from t[0] the samples are returned exactly there."""
     t0, v = float(t[0]), v.tolist()
     h = (float(t[-1]) - t0) / (len(v) - 1)
-    if len(v) < 4:
-        nodes = range(len(v))
-        return lambda x: sum(v[i] * math.prod(((x - t0) / h - l) / (i - l) for l in nodes if l != i)
-                             for i in nodes)
     last = len(v) - 4
 
     def at(x: float) -> float:
@@ -251,23 +256,21 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     parallel and the variation-of-parameters terms cancel
     catastrophically).  The Wronskian u_+ u_-' - u_+' u_- is exactly 1.
     Raises :class:`DiagnosticError` if zeta_0 changes sign on the
-    interval, in which case the caller must shrink t0.
+    interval, in which case the caller must shrink t0.  A cross-check
+    computed on demand: :func:`solve_jacobi` does not build it.
     """
     k = ef.i0 + 1
-    if k < 3:
-        raise DiagnosticError("left pair: fewer than 3 grid samples on (t_min, t0]; "
-                              "refine the grid")
     curve, trace = ef.curve, ef.trace
     z = trace.zeta0[:k]
     if np.any(z == 0.0) or (np.min(z) < 0.0 < np.max(z)):
         raise DiagnosticError(
             "left pair: zeta_0 changes sign on (t_min, t0]; shrink t0 below the first zero"
         )
-    t = curve.t[:k]
-    p = ef.p[:k]
+    t, s, p, theta = curve.t[:k], curve.s[:k], ef.p[:k], curve.theta[:k]
     u_plus = z / p
-    # d/dt of zeta_0/p, using p'/p = -(A-1)/2 with A = alpha s
-    du_plus = (trace.dzeta0_dt[:k] + z * (trace.alpha[:k] * curve.s[:k] - 1.0) / 2.0) / p
+    # d/dt of zeta_0 = a b' - a' b is s phi' (a a' + b b'); p'/p = -(A-1)/2 with A = alpha s
+    dzeta0_dt = s * trace.dphi[:k] * (curve.a[:k] * np.sin(theta) + curve.b[:k] * np.cos(theta))
+    du_plus = (dzeta0_dt + z * (trace.alpha[:k] * s - 1.0) / 2.0) / p
     with np.errstate(divide="ignore", over="ignore"):
         w = 1.0 / u_plus**2
     if not np.all(np.isfinite(w)):
@@ -315,9 +318,10 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     five-point derivative in t = log s of the state's psi' samples, and
     is reported as a sup over s >= 2 epsilon; ``dpsi_defect`` is
     sup |dpsi/ds - psi'| / sup |psi'| over the same samples, with dpsi/ds
-    from the same stencil on psi, and reads 0 for psi = 0.  A grid too
-    coarse for a diagnostic raises :class:`DiagnosticError` naming the
-    stage.
+    from the same stencil on psi, and reads 0 for psi = 0.  The only pair
+    it builds is the middle one.  A weight p past the float range, or a
+    grid too coarse for the breakpoints, raises :class:`DiagnosticError`
+    naming the stage.
     """
     spec = cfg.spec
     calls = itertools.count(1)
@@ -345,10 +349,9 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     f_grid = trace.trA3 if f is None else np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
     ef = emden_fowler_transform(curve, trace, f_grid)
     psi, dpsi = y[3], y[4]
-    # diagnostics only: the exact left pair, and the Wronskian drift of a
-    # pair with unit-matrix data at t0 integrated across [t0, t1], both
-    # columns as one IVP in (u_+, u_-, u_+', u_-')
-    left = left_fundamental_pair(ef)
+    # diagnostics only: the Wronskian drift of a pair with unit-matrix data
+    # at t0 integrated across [t0, t1], both columns as one IVP in
+    # (u_+, u_-, u_+', u_-')
     t_mid = t[ef.i0 : ef.i1 + 1]
     V = _cubic_interpolant(t_mid, ef.V[ef.i0 : ef.i1 + 1])
 
@@ -370,13 +373,11 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
         residual=residual_sup(s, resid, lo, s[-1]),
         dpsi_defect=slip / dpsi_sup if dpsi_sup else 0.0,
         ef=ef,
-        left_pair=left,
         middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp, du_minus=dvm),
         f=f_grid,
         curve=curve,
         trace=trace,
         atol=atol,
-        nfev=curve.accepted_steps,
     )
 
 

@@ -138,10 +138,9 @@ class GeometryTrace:
     trA3: np.ndarray
     zeta0: np.ndarray
     Hres: np.ndarray
-    # closed-form helpers consumed by the log-radial transform
+    # closed-form helpers of the log-radial transform and the left pair
     dphi: np.ndarray = field(repr=False)
     alpha_prime: np.ndarray = field(repr=False)
-    dzeta0_dt: np.ndarray = field(repr=False)
 
 
 def _series_start(spec: ConeSpec, eps: float) -> list[float]:
@@ -285,7 +284,6 @@ def geometry_trace(curve: ProfileCurve) -> GeometryTrace:
         Hres = (m - 1) * bp / a - (n - 1) * ap / b - _fd_derivative_log(curve.t, theta) / s
         app, bpp = -bp * dphi, ap * dphi
         alpha_prime = (m - 1) * (app / a - (ap / a) ** 2) + (n - 1) * (bpp / b - (bp / b) ** 2)
-        dzeta0_dt = s * dphi * (a * ap + b * bp)
     return GeometryTrace(
         alpha=alpha,
         A2=A2,
@@ -294,7 +292,6 @@ def geometry_trace(curve: ProfileCurve) -> GeometryTrace:
         Hres=Hres,
         dphi=dphi,
         alpha_prime=alpha_prime,
-        dzeta0_dt=dzeta0_dt,
     )
 
 

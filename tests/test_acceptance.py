@@ -15,7 +15,12 @@ import pytest
 from conftest import log_criterion
 
 from cjlab.decay import fit_power_law
-from cjlab.jacobi import decay_diagnostics, near_origin_behavior, solve_jacobi
+from cjlab.jacobi import (
+    decay_diagnostics,
+    left_fundamental_pair,
+    near_origin_behavior,
+    solve_jacobi,
+)
 from cjlab.plateau import alpha_of_R, minimal_graph_residual, plateau_profile, plateau_zeta0
 from cjlab.profile import (
     ShootingConfig,
@@ -137,7 +142,7 @@ def test_c07_jacobi_solve(jacobi_configs, jacobi_solutions):
     for (m, n), (curve, trace, sol) in sorted(jacobi_solutions.items()):
         target = 1e-6 * (1.0 + float(np.max(np.abs(sol.f))))
         res = sol.residual
-        drift = max(sol.left_pair.wronskian_drift, sol.middle_pair.wronskian_drift)
+        drift = max(left_fundamental_pair(sol.ef).wronskian_drift, sol.middle_pair.wronskian_drift)
         ok &= res <= target and drift <= 1e-8
         details.append(f"({m},{n}) res={res:.1e}<= {target:.1e} drift={drift:.1e}")
     cfg = jacobi_configs[(3, 3)]
@@ -159,7 +164,7 @@ def test_c07_jacobi_solve(jacobi_configs, jacobi_solutions):
     for (m, n), (curve, trace, sol) in jacobi_solutions.items():
         target = 1e-6 * (1.0 + float(np.max(np.abs(sol.f))))
         assert sol.residual <= target, (m, n)
-        assert sol.left_pair.wronskian_drift <= 1e-8
+        assert left_fundamental_pair(sol.ef).wronskian_drift <= 1e-8
         assert sol.middle_pair.wronskian_drift <= 1e-8
     assert super_rel <= 1e-8
 

@@ -588,9 +588,8 @@ print(json.dumps(spans))
     io = ["io.file_checksums", "io.write_csv", "io.write_json"]
     assert got == {
         "jacobi": [0, ["cli.main", "decay.fit_power_law", *io, "jacobi.decay_diagnostics",
-                       "jacobi.emden_fowler_transform", "jacobi.left_fundamental_pair",
-                       "jacobi.near_origin_behavior", "jacobi.solve_jacobi",
-                       "profile.geometry_trace"]],
+                       "jacobi.emden_fowler_transform", "jacobi.near_origin_behavior",
+                       "jacobi.solve_jacobi", "profile.geometry_trace"]],
         "plateau": [0, ["cli.main", "decay.fit_power_law", *io, "plateau.plateau_profile",
                         "plateau.plateau_zeta0"]],
         "spectrum": [0, ["cli.main", "io.file_checksums", "io.write_json",
@@ -759,22 +758,43 @@ class TestJacobiCommand:
         assert 0.0 < manifest["metrics"]["dpsi_defect"] <= 1e-8
 
     @pytest.mark.parametrize("argv,stage", [
-        pytest.param([*M2N2, "--grid-step", "1"], "left pair", id="1-left pair"),
+        # 16 and 17 samples leave t0 at the first or second one
+        *(pytest.param([*M2N2, "--grid-step", h], "breakpoints", id=f"{h}-breakpoints")
+          for h in ("1", "0.92")),
         pytest.param([*M2N2, "--grid-step", "0.2"], "near-origin fit", id="0.2-near-origin fit"),
         pytest.param([*M2N2, "--grid-step", "0.5"], "near-origin fit", id="0.5-near-origin fit"),
         pytest.param([*M2N2, "--grid-step", "0.8"], "decay windows", id="0.8-decay windows"),
         # the default near-origin window [10 eps, 100 eps] reaches s = 1
         pytest.param(["--m", "3", "--n", "3", "--eps", "0.02"], "near-origin fit",
                      id="eps0.02-near-origin fit"),
-        # zeta_0 / p leaves the float range; at 1e-8 p itself overflows
-        *(pytest.param(["--m", "2", "--n", "100", "--eps", eps, "--s-max", "50"], "left pair",
-                       id=f"n100-eps{eps}-left pair") for eps in ("1e-6", "1e-8")),
+        # p ~ s^{-(n-2)/2} overflows near the axis
+        *(pytest.param(["--m", "2", "--n", "100", "--eps", eps, "--s-max", "50"],
+                       "log-radial transform", id=f"n100-eps{eps}-log-radial transform")
+          for eps in ("1e-7", "1e-8")),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second line
     def test_coarse_grid_exits_4_naming_the_stage(self, argv, stage, tmp_path, capsys):
         assert main(["jacobi", *argv, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and stage in err[0]
+
+    @pytest.mark.parametrize("n,eps", [pytest.param(80, "1e-4", id="n80-eps1e-4"),
+                                       pytest.param(100, "1e-6", id="n100-eps1e-6")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_n_at_small_eps_exits_0_with_finite_outputs(self, n, eps, tmp_path):
+        """Here (p / zeta_0)^2 leaves the float range, but only the on-demand
+        left pair forms it: psi meets its target and every number written is
+        finite."""
+        out = tmp_path / "o"
+        assert main(["jacobi", "--m", "2", "--n", str(n), "--eps", eps, "--s-max", "50",
+                     "--grid-step", "1e-3", "--out", str(out)]) == 0
+        metrics = json.loads((out / "manifest.json").read_text())["metrics"]
+        assert metrics["residual_sup"] <= metrics["residual_target"]
+        values = [v for value in metrics.values()
+                  for v in (value if isinstance(value, list) else [value])]
+        assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+        for name in ("jacobi.csv", "profile.csv"):
+            assert np.all(np.isfinite(np.loadtxt(out / name, delimiter=",", skiprows=1)))
 
     def test_two_ivps_per_run(self, tmp_path, monkeypatch):
         """The profile is integrated once, together with psi; profile.csv is
