@@ -153,10 +153,9 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
     Since A = d/dt ((m-1) log a + (n-1) log b), the weight is the closed
     form p = exp(L(0) - L) with L = ((m-1) log a + (n-1) log b - t) / 2.
     The grid must contain s = 1 (t = 0), where p is normalised to 1; L(0)
-    is the cubic through the four samples nearest t = 0.  A p past the
-    float range (p ~ s^{-(n-2)/2} near the axis, so at small epsilon and
-    large n) raises :class:`DiagnosticError`, as does a grid too short
-    for the breakpoints t0 and t1.
+    is the cubic through the four samples nearest t = 0.  A p or ftilde
+    past the float range (p ~ s^{-(n-2)/2} near the axis, s^{-(N-2)/2} far
+    out) or a grid too short for t0 and t1 raises :class:`DiagnosticError`.
     """
     t = curve.t
     s = curve.s
@@ -169,14 +168,16 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
     m, n = curve.spec.m, curve.spec.n
     L = 0.5 * ((m - 1) * np.log(curve.a) + (n - 1) * np.log(curve.b) - t)
     k = int(np.clip(np.searchsorted(t, 0.0) - 2, 0, len(t) - 4))
-    with np.errstate(over="ignore"):  # an infinite p raises below
+    with np.errstate(all="ignore"):  # raises below
         p = np.exp(np.polyval(np.polyfit(t[k : k + 4], L[k : k + 4], 3), 0.0) - L)
-    if not np.all(np.isfinite(p)):
-        raise DiagnosticError("log-radial transform: p leaves the float range; raise epsilon")
+        f_tilde = s * s * f / p
+    bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(f_tilde)))
+    if len(bad):
+        raise DiagnosticError(f"log-radial transform: p leaves the float range at "
+                              f"s = {s[bad[0]]:.3g}")
     A = trace.alpha * s
     A_t = trace.alpha_prime * s * s + A
     V = -0.25 * (A - 1.0) ** 2 - 0.5 * A_t + trace.A2 * s * s
-    f_tilde = s * s * f / p
 
     i0 = _left_breakpoint_index(t, trace.zeta0)
     i1 = _right_breakpoint_index(t, V, curve.spec, i0)
@@ -318,9 +319,9 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     five-point derivative in t = log s of the state's psi' samples, and
     is reported as a sup over s >= 2 epsilon; ``dpsi_defect`` is
     sup |dpsi/ds - psi'| / sup |psi'| over the same samples, with dpsi/ds
-    from the same stencil on psi, and reads 0 for psi = 0.  The only pair
-    it builds is the middle one.  A weight p past the float range, or a
-    grid too coarse for the breakpoints, raises :class:`DiagnosticError`
+    from the same stencil on psi, and reads 0 for psi = 0.  Of the pairs
+    it builds the middle one only.  A p or ftilde past the float range or
+    a grid too coarse for a diagnostic raises :class:`DiagnosticError`
     naming the stage.
     """
     spec = cfg.spec
