@@ -168,13 +168,13 @@ def emden_fowler_transform(curve: ProfileCurve, trace: GeometryTrace,
     m, n = curve.spec.m, curve.spec.n
     L = 0.5 * ((m - 1) * np.log(curve.a) + (n - 1) * np.log(curve.b) - t)
     k = int(np.clip(np.searchsorted(t, 0.0) - 2, 0, len(t) - 4))
-    with np.errstate(all="ignore"):  # raises below
+    with np.errstate(all="ignore"):  # a non-finite p or ftilde raises below
         p = np.exp(np.polyval(np.polyfit(t[k : k + 4], L[k : k + 4], 3), 0.0) - L)
         f_tilde = s * s * f / p
     bad = np.flatnonzero(~(np.isfinite(p) & np.isfinite(f_tilde)))
     if len(bad):
-        raise DiagnosticError(f"log-radial transform: p leaves the float range at "
-                              f"s = {s[bad[0]]:.3g}")
+        raise DiagnosticError(f"log-radial transform: p or ftilde = s^2 f / p leaves the "
+                              f"float range at s = {s[bad[0]]:.3g}")
     A = trace.alpha * s
     A_t = trace.alpha_prime * s * s + A
     V = -0.25 * (A - 1.0) ** 2 - 0.5 * A_t + trace.A2 * s * s
