@@ -769,11 +769,11 @@ class TestJacobiCommand:
                      id="eps0.02-near-origin fit"),
         # p ~ s^{-(n-2)/2} overflows near the axis ...
         *(pytest.param(["--m", "2", "--n", "100", "--eps", eps, "--s-max", "50"],
-                       "log-radial transform", id=f"n100-eps{eps}-log-radial transform")
+                       "log-radial transform", id=f"n100-eps{eps}-log-radial")
           for eps in ("1e-7", "1e-8")),
         # ... and p ~ s^{-(N-2)/2} underflows far out, where ftilde = s^2 f / p is inf
         pytest.param(["--m", "2", "--n", "100", "--s-max", "1e7"], "log-radial transform",
-                     id="n100-smax1e7-log-radial transform"),
+                     id="n100-smax1e7-log-radial"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # a numpy warning is a second line
     def test_coarse_grid_exits_4_naming_the_stage(self, argv, stage, tmp_path, capsys):
