@@ -260,7 +260,7 @@ def check_inputs(command: str, raw: dict[str, str]) -> RunConfig:
 class Outcome(NamedTuple):
     """What a command leaves :func:`main` to finish its run with."""
 
-    files: list[Path]  # data files, for the manifest's checksums
+    files: dict[Path, str]  # data file -> sha256 digest, for the manifest's checksums
     metrics: dict
     summary: str  # the stdout line
     miss: str | None = None  # why the numerical target was missed
@@ -270,10 +270,10 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> Outcome:
     spec, data = cfg.spec, cfg.spectral
     if cfg.values["format"] == "json":
         path = out / "spectrum.json"
-        write_json(path, data._asdict())
+        digest = write_json(path, data._asdict())
     else:
         path = out / "spectrum.csv"
-        write_csv(
+        digest = write_csv(
             path,
             ["j", "lambda", "Lambda_re", "Lambda_im", "root_minus", "root_plus"],
             [range(len(data.lambdas)), data.lambdas, data.Lambda_re, data.Lambda_im,
@@ -285,7 +285,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> Outcome:
         "Lambda0_re": data.Lambda_re[0],
         "predicted_nu_bar": predicted_nu_bar(spec),
     }
-    return Outcome([path], metrics,
+    return Outcome({path: digest}, metrics,
                    f"spectrum ({spec.m},{spec.n}): stable={data.stable} j0={data.j0} -> {path}")
 
 
@@ -298,21 +298,20 @@ def _stride(n: int) -> slice:
     return slice(None, None, max(1, -(-n // CSV_MAX_ROWS)))
 
 
-def _profile_csv(out: Path, curve, trace) -> Path:
+def _profile_csv(out: Path, curve, trace) -> tuple[Path, str]:
     path = out / "profile.csv"
     sl = _stride(len(curve.s))
-    write_csv(
+    return path, write_csv(
         path,
         ["s", "a", "b", "phi", "alpha", "A2", "trA3", "zeta0", "Hres"],
         [c[sl] for c in (curve.s, curve.a, curve.b, curve.phi, trace.alpha,
                          trace.A2, trace.trA3, trace.zeta0, trace.Hres)],
     )
-    return path
 
 
 def _traced_profile(shooting: ShootingConfig, out: Path) -> tuple:
     """Integrate and trace ``shooting``'s profile and write its profile.csv
-    into ``out``; returns (curve, trace, path)."""
+    into ``out``; returns (curve, trace, (path, digest))."""
     curve = integrate_profile(shooting)
     trace = geometry_trace(curve)
     out.mkdir(parents=True, exist_ok=True)
@@ -327,7 +326,7 @@ def _hres_gate(trace) -> tuple[float, str | None]:
 
 def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
     spec = cfg.shooting.spec
-    curve, trace, path = _traced_profile(cfg.shooting, out)
+    curve, trace, (path, digest) = _traced_profile(cfg.shooting, out)
     hres_sup, miss = _hres_gate(trace)
     metrics = {
         "H_residual_sup": hres_sup,
@@ -336,7 +335,7 @@ def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
         "b_over_a_end": float(curve.b[-1] / curve.a[-1]),
         "rhs_evaluations": curve.accepted_steps,
     }
-    return Outcome([path], metrics,
+    return Outcome({path: digest}, metrics,
                    f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {path}", miss)
 
 
@@ -345,18 +344,18 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     sol = solve_jacobi(cfg.shooting)
     report = decay_diagnostics(sol)
     origin = near_origin_behavior(sol)
-    files = [_profile_csv(out, sol.curve, sol.trace)]
+    csv_path, digest = _profile_csv(out, sol.curve, sol.trace)
+    files = {csv_path: digest}
     hres_sup, hres_miss = _hres_gate(sol.trace)
 
     jac_path = out / "jacobi.csv"
     sl = _stride(len(sol.curve.s))
-    write_csv(
+    files[jac_path] = write_csv(
         jac_path,
         ["s", "t", "p", "V", "ftilde", "psi", "dpsi", "residual"],
         [c[sl] for c in (sol.curve.s, sol.curve.t, sol.ef.p, sol.ef.V, sol.ef.f_tilde,
                          sol.psi, sol.dpsi, sol.residual_pointwise)],
     )
-    files.append(jac_path)
 
     report["near_origin"] = {
         "exponent": origin.exponent,
@@ -364,8 +363,7 @@ def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
         "log_detected": origin.log_detected,
     }
     report_path = out / "decay_report.json"
-    write_json(report_path, report)
-    files.append(report_path)
+    files[report_path] = write_json(report_path, report)
 
     f_sup = float(np.max(np.abs(sol.f)))
     target = RESIDUAL_TARGET_FACTOR * (1.0 + f_sup)
@@ -395,8 +393,8 @@ def _cmd_plateau(cfg: RunConfig, out: Path) -> Outcome:
     N, R = cfg.values["N"], cfg.values["R"]
     graph, zeta0, fit, flux_res = cfg.plateau
     path = out / "plateau.csv"
-    write_csv(path, ["r", "v", "dv", "zeta0", "flux_residual"],
-              [graph.r, graph.v, graph.dv, zeta0, graph.flux_residual])
+    digest = write_csv(path, ["r", "v", "dv", "zeta0", "flux_residual"],
+                       [graph.r, graph.v, graph.dv, zeta0, graph.flux_residual])
     metrics = {
         "alphaR": graph.alphaR,
         "flux_residual_sup": flux_res,
@@ -404,7 +402,7 @@ def _cmd_plateau(cfg: RunConfig, out: Path) -> Outcome:
         "expected_exponent": 2 - N,
         "decay_coeff": graph.decay_coeff,
     }
-    return Outcome([path], metrics,
+    return Outcome({path: digest}, metrics,
                    f"plateau N={N} R={R}: flux residual {flux_res:.2e}, "
                    f"zeta0 exponent {fit.exponent:.4f} -> {path}",
                    None if flux_res <= FLUX_TARGET
@@ -436,26 +434,26 @@ def sweep_row(curve: ProfileCurve, trace: GeometryTrace) -> dict:
 
 
 def _cmd_report(cfg: RunConfig, out: Path) -> Outcome:
-    rows, files, misses = [], [], []
+    rows, files, misses = [], {}, []
     for shooting in cfg.sweep:
         spec = shooting.spec
-        curve, trace, path = _traced_profile(shooting, out / f"m{spec.m}n{spec.n}")
+        curve, trace, (path, digest) = _traced_profile(shooting, out / f"m{spec.m}n{spec.n}")
+        files[path] = digest
         _, miss = _hres_gate(trace)
         rows.append(sweep_row(curve, trace))
-        files.append(path)
         if miss is not None:
             misses.append(f"({spec.m},{spec.n}) {miss}")
     rows.sort(key=lambda r: (r["m"], r["n"]))
     if cfg.values["format"] == "json":
         path = out / "report.json"
-        write_json(path, {"rows": rows})
+        digest = write_json(path, {"rows": rows})
     else:
         path = out / "report.csv"
         keys = ["m", "n", "N", "stable", "predicted_nu_bar", "fitted_exponent",
                 "oscillatory", "nearest_root", "gap", "crossings"]
-        write_csv(path, keys, [[row[k] for row in rows] for k in keys])
+        digest = write_csv(path, keys, [[row[k] for row in rows] for k in keys])
     max_gap = max(r["gap"] for r in rows)
-    return Outcome([path, *files], {"rows": len(rows), "max_gap": max_gap},
+    return Outcome({path: digest, **files}, {"rows": len(rows), "max_gap": max_gap},
                    f"report: {len(rows)} specs, max fitted-vs-indicial gap {max_gap:.4f} -> {path}",
                    "; ".join(misses) or None)
 

@@ -4,7 +4,9 @@ All numbers are written with 10 significant digits and a ``.`` decimal
 point, so identical run configurations produce byte-identical data
 files.  Every floating CSV cell holds the bytes of ``format(x, ".10g")``,
 and every other cell :func:`fmt10` text.  The manifest (which records wall
-time) is written last and is the only non-reproducible artifact.
+time) is written last and is the only non-reproducible artifact.  Each
+writer returns the sha256 of the bytes it wrote, hashed as they are
+written, and :func:`file_checksums` keys those digests for the manifest.
 
 A CSV whose columns are all floating numpy arrays is rendered by the
 vectorised ``%.10g`` of :mod:`cjlab.g10`, 2,000 rows at a time; any other
@@ -75,40 +77,53 @@ def _round10(obj):
     return obj
 
 
-def write_csv(path: Path, header: Iterable[str], columns: Iterable[Sequence]) -> None:
+def _write_hashed(path: Path, chunks: Iterable[bytes]) -> str:
+    """Write ``chunks`` to ``path``; the sha256 hex digest of those bytes."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def write_csv(path: Path, header: Iterable[str], columns: Iterable[Sequence]) -> str:
+    """Write the CSV; the sha256 hex digest of its bytes."""
     columns = list(columns)
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("columns must share a length")
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        if all(hasattr(c, "dtype") and c.dtype.kind == "f" for c in columns):
-            from cjlab import g10  # numpy: only a CSV of float arrays loads it
-
-            for start in range(0, n, _BLOCK_ROWS):
-                fh.write(g10.rows([c[start:start + _BLOCK_ROWS] for c in columns]))
-            return
-        # An array column is floating by its dtype, with no per-cell check; a
-        # sequence column when every cell is a float.
-        floating = [c.dtype.kind == "f" if hasattr(c, "dtype")
-                    else all(isinstance(x, float) for x in c) for c in columns]
-        row = ",".join("%.10g" if fl else "%s" for fl in floating) + "\n"
-        cells = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
-        cells = [c if fl else [fmt10(x) for x in c] for c, fl in zip(cells, floating)]
-        fh.write("".join(map(row.__mod__, zip(*cells))).encode())
+    return _write_hashed(path, _csv_chunks(header, columns, n))
 
 
-def write_json(path: Path, payload: dict) -> None:
+def _csv_chunks(header: Iterable[str], columns: list, n: int) -> Iterable[bytes]:
+    yield (",".join(header) + "\n").encode()
+    if all(hasattr(c, "dtype") and c.dtype.kind == "f" for c in columns):
+        from cjlab import g10  # numpy: only a CSV of float arrays loads it
+
+        for start in range(0, n, _BLOCK_ROWS):
+            yield g10.rows([c[start:start + _BLOCK_ROWS] for c in columns])
+        return
+    # An array column is floating by its dtype, with no per-cell check; a
+    # sequence column when every cell is a float.
+    floating = [c.dtype.kind == "f" if hasattr(c, "dtype")
+                else all(isinstance(x, float) for x in c) for c in columns]
+    row = ",".join("%.10g" if fl else "%s" for fl in floating) + "\n"
+    cells = [c.tolist() if hasattr(c, "tolist") else c for c in columns]
+    cells = [c if fl else [fmt10(x) for x in c] for c, fl in zip(cells, floating)]
+    yield "".join(map(row.__mod__, zip(*cells))).encode()
+
+
+def write_json(path: Path, payload: dict) -> str:
+    """Write the payload as sorted, indented JSON; the sha256 hex digest of its bytes."""
     import json
 
-    with open(path, "w", newline="\n") as fh:
-        json.dump(_round10(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return _write_hashed(path, [(json.dumps(_round10(payload), indent=2, sort_keys=True)
+                                 + "\n").encode()])
 
 
-def file_checksums(paths: Iterable[Path], root: Path) -> dict[str, str]:
-    """sha256 of each file, keyed by its POSIX path relative to ``root``."""
-    import hashlib
-
-    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in paths}
+def file_checksums(digests: Mapping[Path, str], root: Path) -> dict[str, str]:
+    """The writers' digests, keyed by each file's POSIX path relative to ``root``."""
+    return {p.relative_to(root).as_posix(): d for p, d in digests.items()}

@@ -28,8 +28,8 @@ Wronskian drift of a pair with unit-matrix data at t0, which measures
 that pair's own integration error.  On t <= t0, where zeta_0 is
 sign-definite, :func:`left_fundamental_pair` (u_+ = zeta_0 / p exact,
 u_- = u_+ int u_+^{-2} by a four-point cubic quadrature on the t grid)
-and :func:`left_particular_vop` (psi / p from that pair by quadrature)
-are independent cross-checks computed only on demand.
+is computed only on demand.  The independent check of a, theta and psi
+is an mpmath solution of the same s-IVP in the test suite.
 
 The residual of psi needs one finite difference only: the state carries
 psi', so psi'' is the five-point derivative of its samples in t, the
@@ -66,7 +66,6 @@ __all__ = [
     "NearOriginFit",
     "emden_fowler_transform",
     "left_fundamental_pair",
-    "left_particular_vop",
     "solve_jacobi",
     "near_origin_behavior",
     "decay_diagnostics",
@@ -254,8 +253,7 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     based at the breakpoint so that it is the solution growing like
     e^{-lambda t} towards the axis rather than a near-multiple of u_+
     (basing the integral at t_min would make the pair numerically
-    parallel and the variation-of-parameters terms cancel
-    catastrophically).  The Wronskian u_+ u_-' - u_+' u_- is exactly 1.
+    parallel).  The Wronskian u_+ u_-' - u_+' u_- is exactly 1.
     Raises :class:`DiagnosticError` if zeta_0 changes sign on the
     interval, in which case the caller must shrink t0.  A cross-check
     computed on demand: :func:`solve_jacobi` does not build it.
@@ -282,23 +280,6 @@ def left_fundamental_pair(ef: EmdenFowlerData) -> FundamentalPair:
     du_minus = du_plus * I + 1.0 / u_plus
     return FundamentalPair(t=t, u_plus=u_plus, u_minus=u_minus, du_plus=du_plus,
                            du_minus=du_minus)
-
-
-def left_particular_vop(ef: EmdenFowlerData) -> np.ndarray:
-    """Left-interval particular solution by the explicit quadrature form.
-
-    u(t) = u_-(t) int u_+ ftilde - u_+(t) int u_- ftilde with both
-    integrals truncated at t_min, i.e. zero Cauchy data there.
-    Mathematically identical to psi / p from :func:`solve_jacobi`, and
-    computed independently of it, so it serves as a cross-check where
-    its conditioning allows (its intermediates grow like
-    u_+(t0)^2 / u_+(t_min)^2 ~ eps^{-(n-2)}).
-    """
-    pair = left_fundamental_pair(ef)
-    f_tilde = ef.f_tilde[: len(pair.t)]
-    J_plus = _cumulative(pair.t, pair.u_plus * f_tilde)
-    J_minus = _cumulative(pair.t, pair.u_minus * f_tilde)
-    return pair.u_minus * J_plus - pair.u_plus * J_minus
 
 
 def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSolution:
@@ -442,9 +423,10 @@ def decay_diagnostics(sol: JacobiSolution) -> dict:
         sups.append(float(np.max(weight(s[sel]) * np.abs(psi[sel]))))
         k += 1
     ratios = [sups[j + 1] / sups[j] for j in range(len(sups) - 1)]
-    exponent = float("nan")
-    if np.count_nonzero(psi[np.searchsorted(s, 100.0):]) >= decay.MIN_FIT_SAMPLES:
+    try:
         exponent = decay.fit_power_law(s, psi, (100.0, float(s[-1]))).exponent
+    except ValueError:  # under decay.MIN_FIT_SAMPLES nonzero samples past s = 100
+        exponent = float("nan")
     return {
         "weight": name,
         "windows": windows,

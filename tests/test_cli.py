@@ -180,6 +180,16 @@ class TestWriteCsv:
         assert self.csv_bytes([list(np.array(xs)), tuple(xs[::-1])]) == want
 
 
+@pytest.mark.parametrize("name,write", [
+    ("g10.csv", lambda p: write_csv(p, ["x", "y"], [np.linspace(-1.0, 1.0, 4500), np.ones(4500)])),
+    ("cells.csv", lambda p: write_csv(p, ["j", "x"], [range(3), [0.5, math.nan, -2.0]])),
+    ("data.json", lambda p: write_json(p, {"x": [0.1, math.inf], "n": 3})),
+], ids=["g10-csv", "percent-csv", "json"])
+def test_writers_return_the_sha256_of_their_file(name, write, tmp_path):
+    digest = write(tmp_path / name)
+    assert digest == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
 class TestWriteJson:
     PYTHON = {"f": 1.2345678901234, "i": 3, "b": True, "nan": math.nan, "inf": -math.inf,
               "half": 0.5, "list": [1e-5, 2.0, math.inf], "ints": [1, -2],
@@ -538,6 +548,13 @@ class TestLibraryLayering:
         offenders = [f"dop853.py:{line} {name}"
                      for line, name in imported_modules(self.LIBRARY / "dop853.py")
                      if name.split(".")[0] == "cjlab"]
+        assert offenders == []
+
+    def test_no_library_module_imports_an_oracle(self):
+        """mpmath and scipy are the test suite's references: the package imports neither."""
+        offenders = [f"{path.name}:{line} {name}" for path in sorted(self.LIBRARY.glob("*.py"))
+                     for line, name in imported_modules(path)
+                     if name.split(".")[0] in ("mpmath", "scipy")]
         assert offenders == []
 
 

@@ -11,7 +11,6 @@ from cjlab.jacobi import (
     decay_diagnostics,
     emden_fowler_transform,
     left_fundamental_pair,
-    left_particular_vop,
     near_origin_behavior,
     residual_sup,
     sharp_weight,
@@ -169,16 +168,6 @@ class TestLeftFundamentalPair:
         assert bad.t0 == sol.curve.t[first_zero + 8]  # the breakpoint follows its index
         with pytest.raises(DiagnosticError, match="left pair: zeta_0 changes sign"):
             left_fundamental_pair(bad)
-
-    def test_vop_form_matches_ivp_solution(self, jacobi_solutions):
-        """The explicit quadrature construction agrees with psi / p from the
-        zero-data initial value problem where its conditioning allows (n <= 3)."""
-        for (m, n) in [(2, 2), (2, 3), (3, 3)]:
-            curve, trace, sol = jacobi_solutions[(m, n)]
-            u_vop = left_particular_vop(sol.ef)
-            k = sol.ef.i0 + 1
-            u = sol.psi[:k] / sol.ef.p[:k]
-            assert np.max(np.abs(u_vop - u)) <= 1e-8 * np.max(np.abs(u))
 
 
 class TestFundamentalPair:
@@ -423,6 +412,13 @@ class TestDecayDiagnostics:
         report = decay_diagnostics(solve_jacobi(cfg))
         assert report["windows"] == [] and report["ratios"] == []
         assert report["bounded_within_factor"] is None
+
+    @pytest.mark.parametrize("s_max", [50.0, 100.0, 100.5])
+    def test_fitted_exponent_is_nan_without_enough_samples_past_100(self, s_max):
+        """No sample past s = 100, the one at s = 100 alone, or the 5 up to
+        100.5 at h = 1e-3: fewer than decay.MIN_FIT_SAMPLES, so no fit."""
+        cfg = ShootingConfig(spec=ConeSpec(3, 3), s_max=s_max, grid_step=1e-3)
+        assert math.isnan(decay_diagnostics(solve_jacobi(cfg))["fitted_exponent"])
 
 
 def masked(r, lo, hi):
