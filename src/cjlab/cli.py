@@ -29,7 +29,8 @@ name set on the module before that (a tracing wrapper, say) is kept.
 A run directory receives the data files plus ``manifest.json`` (config
 echo, tool version, wall time, sha256 checksums, summary metrics),
 written last.  Data files are deterministic: two runs with identical
-configuration are byte-identical.  The default output directory is
+configuration are byte-identical.  ``cjl jacobi`` writes profile.csv on a
+second thread while it writes jacobi.csv.  The default output directory is
 ``$CJL_OUT`` or ``./cjl_out``.  Exit codes: 0 success, 2 usage/config
 error, 3 I/O error, 4 numerical target miss.
 """
@@ -304,8 +305,8 @@ def _profile_csv(out: Path, curve, trace) -> tuple[Path, str]:
     return path, write_csv(
         path,
         ["s", "a", "b", "phi", "alpha", "A2", "trA3", "zeta0", "Hres"],
-        [c[sl] for c in (curve.s, curve.a, curve.b, curve.phi, trace.alpha,
-                         trace.A2, trace.trA3, trace.zeta0, trace.Hres)],
+        [curve.s[sl], curve.a[sl], curve.b[sl], np.pi / 2 - curve.theta[sl],  # phi
+         *(c[sl] for c in (trace.alpha, trace.A2, trace.trA3, trace.zeta0, trace.Hres))],
     )
 
 
@@ -339,23 +340,54 @@ def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
                    f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {path}", miss)
 
 
+def _start_thread(fn: Callable, *args) -> Callable[[], object]:
+    """Start ``fn(*args)`` on a new thread; the returned callable joins it
+    and returns ``fn``'s result or raises its exception."""
+    import threading  # loaded by numpy already
+
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((fn(*args), None))
+        except BaseException as exc:  # re-raised by join
+            outcome.append((None, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        thread.join()
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return result
+
+    return join
+
+
 def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     spec = cfg.shooting.spec
     sol = solve_jacobi(cfg.shooting)
     report = decay_diagnostics(sol)
     origin = near_origin_behavior(sol)
-    csv_path, digest = _profile_csv(out, sol.curve, sol.trace)
-    files = {csv_path: digest}
-    hres_sup, hres_miss = _hres_gate(sol.trace)
-
-    jac_path = out / "jacobi.csv"
-    sl = _stride(len(sol.curve.s))
-    files[jac_path] = write_csv(
-        jac_path,
-        ["s", "t", "p", "V", "ftilde", "psi", "dpsi", "residual"],
-        [c[sl] for c in (sol.curve.s, sol.curve.t, sol.ef.p, sol.ef.V, sol.ef.f_tilde,
-                         sol.psi, sol.dpsi, sol.residual_pointwise)],
-    )
+    hres_sup, hres_miss = _hres_gate(sol.trace)  # its |Hres| temporary is gone before the writes
+    # profile.csv is written on a second thread while this one writes
+    # jacobi.csv; the rendering's numpy passes, the hashing and the writes
+    # release the GIL.  If both fail, profile.csv's error is the one raised.
+    profile_csv = _start_thread(_profile_csv, out, sol.curve, sol.trace)
+    try:
+        jac_path = out / "jacobi.csv"
+        sl = _stride(len(sol.curve.s))
+        jac_digest = write_csv(
+            jac_path,
+            ["s", "t", "p", "V", "ftilde", "psi", "dpsi", "residual"],
+            [c[sl] for c in (sol.curve.s, sol.curve.t, sol.ef.p, sol.ef.V, sol.ef.f_tilde,
+                             sol.psi, sol.dpsi, sol.residual_pointwise)],
+        )
+    finally:
+        csv_path, digest = profile_csv()
+    files = {csv_path: digest, jac_path: jac_digest}
 
     report["near_origin"] = {
         "exponent": origin.exponent,

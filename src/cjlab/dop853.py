@@ -13,8 +13,16 @@ Python floats, whose arithmetic, ``math`` functions and ``**`` give the
 bits of numpy's float64 scalars.  So the samples, the evaluation count
 and the stall message are those of scipy to the bit; the test suite
 checks this with scipy as the oracle.  The memory layout is not scipy's:
-the samples come back as one contiguous row per component.  Only numpy
-is imported, and no other module of the package.
+the samples come back as one contiguous row per component.
+
+The dense output is not evaluated step by step.  A step whose interval
+holds samples records its start, length, state and polynomial
+coefficients, and the recorded samples are evaluated together once they
+fill a block of :data:`_BLOCK_SAMPLES`, and at the end of the run or at a
+stall.  A block repeats each step's coefficients over its samples and
+runs scipy's per-sample operations on them, so its bits are those of one
+call of scipy's dense output per step.  Only numpy is imported, and no
+other module of the package.
 """
 
 from __future__ import annotations
@@ -29,6 +37,12 @@ __all__ = ["RTOL", "Solution", "dop853"]
 #: Relative tolerance of every ODE integration in the package; at 1e-12 the
 #: m = 2, n >= 8 profiles miss the 1e-7 H-residual target.
 RTOL = 1e-13
+
+#: Samples per block of dense-output evaluation: large enough that numpy's
+#: per-call cost is spread over many samples, small enough that a block's
+#: (components, samples) temporaries stay under a megabyte for the package's
+#: 5-component runs.
+_BLOCK_SAMPLES = 16384
 
 #: nodes of stages 0-11, of f at the step's end (12) and of the 3 dense-output stages
 C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
@@ -127,11 +141,39 @@ def _squared_norm(v: np.ndarray) -> float:
         return math.inf
 
 
+def _dense_block(t_eval: np.ndarray, steps: list, counts: list, out: np.ndarray,
+                 done: int) -> int:
+    """Write the dense output of the recorded ``steps``, (t_old, h, y_old, F)
+    with ``counts`` samples each, at ``t_eval[done:]`` into ``out``, and
+    empty both lists; returns the new count of samples written.
+
+    Per sample these are the operations of scipy's ``Dop853DenseOutput``:
+    x = (t - t_old)/h and 1 - x, the alternating Horner pass over F from
+    zeros, then + y_old; each step's values are repeated over its samples."""
+    if not steps:
+        return done
+    t_old, h, y_old, F = zip(*steps)
+    end = done + sum(counts)
+    x = (t_eval[done:end] - np.repeat(t_old, counts)) / np.repeat(h, counts)
+    one_minus_x = 1 - x
+    F = np.stack(F)  # (steps, 7, components)
+    ys = out[:, done:end]
+    ys[...] = 0
+    for i in range(7):
+        ys += np.repeat(F[:, 6 - i].T, counts, axis=1)
+        ys *= x if i % 2 == 0 else one_minus_x
+    ys += np.repeat(np.stack(y_old, axis=1), counts, axis=1)
+    steps.clear()
+    counts.clear()
+    return end
+
+
 def dop853(fun: Callable, y0, atol: float, t_eval: np.ndarray) -> Solution:
     """Integrate y' = fun(t, y) from y(t_eval[0]) = y0 up to t_eval[-1] at
     rtol :data:`RTOL` and scalar ``atol``, sampling y at the increasing
-    points ``t_eval``.  Each step's samples are written right after it,
-    from that step's dense output, which costs 3 more evaluations.
+    points ``t_eval``.  A step whose interval holds samples computes its
+    dense output's coefficients, which costs 3 more evaluations, and the
+    samples are evaluated from them a block at a time (module docstring).
     """
     t, t1, y = float(t_eval[0]), float(t_eval[-1]), np.asarray(y0, dtype=float)
     f = np.asarray(fun(t, y), dtype=float)
@@ -153,16 +195,16 @@ def dop853(fun: Callable, y0, atol: float, t_eval: np.ndarray) -> Solution:
     K = np.empty((16, n))
     KT = [K[:s].T for s in range(16)]
     K[0] = f
-    F = np.empty((7, n))  # the dense output's polynomial coefficients
-    F_high_first = F[::-1, :, None]
     out = np.empty((n, len(t_eval)))
-    done = 0  # samples written
+    done = queued = 0  # samples written; samples written or recorded
+    steps, counts = [], []  # the recorded steps and their sample counts
     while t < t1:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
+                done = _dense_block(t_eval, steps, counts, out, done)
                 return Solution(t_eval[:done], out[:, :done], nfev, -1, TOO_SMALL_STEP)
             t_new = min(t + h_abs, t1)
             h = t_new - t
@@ -189,24 +231,20 @@ def dop853(fun: Callable, y0, atol: float, t_eval: np.ndarray) -> Solution:
         t, y = t_new, y_new
 
         end = t_eval.searchsorted(t, "right")
-        if end > done:
+        if end > queued:
             for s in range(13, 16):
                 K[s] = fun(t_old + c[s] * h, y_old + KT[s].dot(a[s]) * h)
             nfev += 3
+            F = np.empty((7, n))  # the dense output's polynomial coefficients
             F[0] = dy = y - y_old
             F[1] = h * K[0] - dy
             F[2] = 2 * dy - h * (K[12] + K[0])
             F[3:] = h * D.dot(K)
-            # Horner-like evaluation in x and 1 - x, one sample per column, so
-            # that each operation runs along the step's samples
-            x = (t_eval[done:end] - t_old) / h
-            one_minus_x = 1 - x
-            ys = np.zeros((n, end - done))
-            for i, Fi in enumerate(F_high_first):
-                ys += Fi
-                ys *= x if i % 2 == 0 else one_minus_x
-            ys += y_old[:, None]
-            out[:, done:end] = ys
-            done = end
+            steps.append((t_old, h, y_old, F))
+            counts.append(end - queued)
+            queued = end
+            if queued - done >= _BLOCK_SAMPLES:
+                done = _dense_block(t_eval, steps, counts, out, done)
         K[0] = K[12]
+    done = _dense_block(t_eval, steps, counts, out, done)
     return Solution(t_eval[:done], out[:, :done], nfev, 0, None)

@@ -59,8 +59,9 @@ __all__ = [
 ]
 
 #: Largest sample grid a :class:`ShootingConfig` accepts: about 7x the
-#: default Jacobi grid of 145,576 samples.  A ``cjl jacobi`` process peaks
-#: at about 250 MB RSS on a 997,000-sample grid, and 64 MB on the default one.
+#: default Jacobi grid of 145,576 samples.  A ``cjl jacobi --m 3 --n 3``
+#: process peaks at about 224 MB RSS on a 997,000-sample grid, and 63-65 MB
+#: on the default one.
 MAX_GRID_SAMPLES = 1_000_000
 #: The profile's stiffness, and with it the integrator's step count, grows
 #: like max(m, n): about 1 s per 10,000 at the default settings.

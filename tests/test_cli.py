@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -749,6 +750,26 @@ class TestIOFailures:
         out = blocker / "sub"  # mkdir under a file fails
         assert main(["spectrum", "--m", "2", "--n", "2", "--out", str(out)]) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked,reported", [
+        (["profile.csv"], "profile.csv"),
+        (["jacobi.csv"], "jacobi.csv"),
+        (["profile.csv", "jacobi.csv"], "profile.csv"),  # both fail: profile.csv's error
+    ])
+    def test_jacobi_csv_write_failure_exits_3(self, blocked, reported, tmp_path, capsys):
+        """cjl jacobi writes its two CSVs on two threads: a failed write still
+        exits 3 with one line, and no thread outlives the run."""
+        out = tmp_path / "o"
+        for name in blocked:
+            (out / name).mkdir(parents=True)  # opening a directory for writing fails
+        threads = threading.active_count()
+        code = main(["jacobi", "--m", "3", "--n", "3", "--s-max", "300", "--grid-step", "1e-3",
+                     "--out", str(out)])
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("I/O error:") and reported in err[0]
+        assert not (out / "manifest.json").exists()
 
 
 M2N2 = ["--m", "2", "--n", "2"]

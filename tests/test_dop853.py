@@ -79,3 +79,21 @@ def test_stall_matches_solve_ivp():
     got, want = assert_same_run(lambda t, y: y * y, [1.0], 1e-12, np.linspace(0.0, 2.0, 21))
     assert got.status == -1 and got.message == want.message
     assert 0 < len(got.t) < 21
+
+
+def test_stall_after_a_flushed_block_matches_solve_ivp():
+    """The same blow-up on a grid fine enough that the samples before the
+    stall fill several blocks of dense output (16,384 samples each) before
+    the last, partial one."""
+    got, want = assert_same_run(lambda t, y: y * y, [1.0], 1e-12,
+                                np.linspace(0.0, 2.0, 200_001))
+    assert got.status == -1 and got.message == want.message
+    assert len(got.t) > 90_000
+
+
+def test_run_over_several_blocks_matches_solve_ivp():
+    """A harmonic oscillator sampled at more than two blocks' worth of points,
+    so that the run ends on a partial block."""
+    t_eval = np.linspace(0.0, 30.0, 40_001)
+    got, _ = assert_same_run(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], 1e-12, t_eval)
+    assert got.status == 0 and len(got.t) == len(t_eval)
