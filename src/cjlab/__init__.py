@@ -18,11 +18,14 @@ one module, and is imported from there:
   for its CSV number format.
 
 ``import cjlab`` loads no submodule and no numpy.  The two exception
-classes live here, so that a caller can catch them without importing the
-numerical layer.
+classes and :data:`DEFAULT_GRID_STEP` live here, so that a caller can catch
+the former and read the latter without importing the numerical layer.
 """
 
 __version__ = "0.1.0"
+
+#: default log-s sample spacing of ``profile.ShootingConfig`` and every integrating ``cjl`` command
+DEFAULT_GRID_STEP = 1e-3
 
 
 class IntegrationFailure(RuntimeError):

@@ -46,7 +46,7 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from cjlab import DiagnosticError, IntegrationFailure, __version__
+from cjlab import DEFAULT_GRID_STEP, DiagnosticError, IntegrationFailure, __version__
 from cjlab.io import file_checksums, write_csv, write_json
 from cjlab.spectra import (
     ConeSpec,
@@ -114,9 +114,6 @@ H_RESIDUAL_TARGET = 1e-7  # sup |Hres| of every profile.csv written
 
 #: the report's default --specs: the four core specs
 DEFAULT_SWEEP = "2,2;2,3;3,3;4,4"
-
-#: log-s sample spacing of the sweep's profile grids
-SWEEP_GRID_STEP = 1e-3
 
 #: regime -> (s_max, fit window) of the sweep.  Stable specs are fitted raw
 #: on [50, 200]; oscillatory ones by their local-maxima envelope over
@@ -291,7 +288,8 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> Outcome:
 
 
 #: CSV emission is decimated to at most this many rows (deterministic stride);
-#: computations always run on the full grid.
+#: computations always run on the full grid.  Every default grid is smaller
+#: (19,808 samples at most, the report's), so only a finer one is thinned.
 CSV_MAX_ROWS = 20000
 
 
@@ -517,8 +515,7 @@ OPTIONS = (
     Option("r_max", float, "outer radius (default 2000 R)", {"plateau": lambda v: 2.0e3 * v["R"]}),
     Option("s_max", float, "arc length to integrate to", {"profile": 200.0, "jacobi": 2100.0}),
     Option("eps", float, "series start offset", dict.fromkeys(_SHOOTING, 1e-3)),
-    Option("grid_step", float, "log-s sample spacing",
-           {"profile": 1e-4, "jacobi": 1e-4, "report": SWEEP_GRID_STEP}),
+    Option("grid_step", float, "log-s sample spacing", dict.fromkeys(_SHOOTING, DEFAULT_GRID_STEP)),
     Option("count", int, "eigenvalue count", {"spectrum": 12}),
     Option("format", _csv_or_json, "csv or json", {"spectrum": "json", "report": "json"}),
     Option("specs", str, "sweep, e.g. '2,2;3,3'", {"report": DEFAULT_SWEEP}),

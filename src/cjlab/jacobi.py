@@ -79,7 +79,7 @@ V_SETTLE_TOL = 1e-2
 #: RHS evaluations after which the psi solve gives up: near-axis curvature
 #: noise can keep DOP853 refining without end.  At ``cjl jacobi`` defaults a
 #: run with m, n <= 10 takes at most 17,240 ((10,9), 1/29 of the budget),
-#: but (64,64) takes 121,814, (100,100) 180,377 and (100,99) 232,790 (47 %).
+#: but (64,64) takes 120,260, (100,100) 173,939 and (100,99) 221,831 (44 %).
 MAX_PSI_NFEV = 500_000
 
 

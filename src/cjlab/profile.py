@@ -40,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from cjlab import IntegrationFailure
+from cjlab import DEFAULT_GRID_STEP, IntegrationFailure
 from cjlab.dop853 import RTOL, dop853
 from cjlab.spectra import ConeSpec
 
@@ -58,9 +58,9 @@ __all__ = [
     "cone_crossings",
 ]
 
-#: Largest sample grid a :class:`ShootingConfig` accepts: about 7x the
-#: default Jacobi grid of 145,576 samples.  A ``cjl jacobi --m 3 --n 3``
-#: process peaks at about 224 MB RSS on a 997,000-sample grid, and 63-65 MB
+#: Largest sample grid a :class:`ShootingConfig` accepts: about 69x the
+#: default Jacobi grid of 14,559 samples.  A ``cjl jacobi --m 3 --n 3``
+#: process peaks at about 224 MB RSS on a 997,000-sample grid, and 43 MB
 #: on the default one.
 MAX_GRID_SAMPLES = 1_000_000
 #: The profile's stiffness, and with it the integrator's step count, grows
@@ -80,7 +80,7 @@ class ShootingConfig:
     spec: ConeSpec
     epsilon: float = 1e-3
     s_max: float = 200.0
-    grid_step: float = 1e-4
+    grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 0.1:

@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cjlab.cli import OPTIONS, ConfigError, RunConfig, configure, main
+from cjlab.cli import CSV_MAX_ROWS, OPTIONS, ConfigError, RunConfig, configure, main
 from cjlab.io import fmt10, write_csv, write_json
+from cjlab.profile import ShootingConfig
+from cjlab.spectra import ConeSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -160,9 +162,10 @@ class TestWriteCsv:
         assert self.csv_bytes(columns) == self.oracle([f"c{i}" for i in range(ncols)], columns)
 
     def test_peak_memory_of_a_profile_csv(self, tmp_path):
-        """tracemalloc peak of an 18,197 x 9 float64 write, the decimated
-        profile.csv.  The bound is the peak of the per-row % writer on the same
-        input, so the vectorised one holds no whole-CSV temporaries."""
+        """tracemalloc peak of an 18,197 x 9 float64 write, the profile.csv of
+        ``cjl jacobi --grid-step 1e-4`` (every 8th sample; the default grid
+        writes all its 14,559).  The bound is the peak of the per-row % writer
+        on the same input, so the vectorised one holds no whole-CSV temporaries."""
         rng = np.random.default_rng(0)
         columns = list(rng.standard_normal((9, 18197)) * 10.0 ** rng.integers(-12, 4, (9, 18197)))
         tracemalloc.start()
@@ -391,6 +394,12 @@ class TestOptionTable:
         listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         assert {o.name for o in OPTIONS if command in o.defaults} == READS[command]
         assert listed == {"--" + k.replace("_", "-") for k in READS[command]} | {"--config", "--help"}
+
+    def test_one_default_grid_step(self):
+        """profile, jacobi and report integrate on the library's default grid."""
+        (grid_step,) = [o for o in OPTIONS if o.name == "grid_step"]
+        default = ShootingConfig(spec=ConeSpec(2, 2)).grid_step
+        assert grid_step.defaults == dict.fromkeys(("profile", "jacobi", "report"), default)
 
     def test_each_option_declared_once(self):
         names = [o.name for o in OPTIONS]
@@ -794,6 +803,23 @@ class TestJacobiCommand:
         assert manifest["metrics"]["psi_atol"] == pytest.approx(1e-20)
         assert manifest["metrics"]["psi_nfev"] > 0
         assert 0.0 < manifest["metrics"]["dpsi_defect"] <= 1e-8
+
+    @staticmethod
+    def csv_rows(argv, out):
+        assert main([*argv, "--out", str(out)]) == 0
+        return [len((out / name).read_text().splitlines()) - 1
+                for name in ("jacobi.csv", "profile.csv")]
+
+    def test_default_csvs_hold_every_grid_sample(self, tmp_path):
+        argv = ["jacobi", "--m", "3", "--n", "3"]
+        samples = len(configure(argv).shooting.grid())
+        assert self.csv_rows(argv, tmp_path / "o") == [samples, samples] == [14559, 14559]
+
+    def test_finer_grid_csvs_are_thinned(self, tmp_path):
+        """145,576 samples at h = 1e-4: every 8th is written."""
+        rows = self.csv_rows(["jacobi", "--m", "3", "--n", "3", "--grid-step", "1e-4"],
+                             tmp_path / "o")
+        assert rows == [18197, 18197] and max(rows) <= CSV_MAX_ROWS
 
     @pytest.mark.parametrize("argv,stage", [
         # 16 and 17 samples leave t0 at the first or second one

@@ -463,7 +463,8 @@ class TestWindowSlices:
 
     @pytest.fixture(scope="class")
     def grid(self):
-        return ShootingConfig(spec=ConeSpec(3, 3), s_max=2100.0).grid()
+        # 145,576 samples, which the probe at grid[70000] below assumes
+        return ShootingConfig(spec=ConeSpec(3, 3), s_max=2100.0, grid_step=1e-4).grid()
 
     def test_slices_equal_masks(self, grid):
         on = [grid[0], grid[1], grid[70000], grid[-2], grid[-1]]  # edges on samples
