@@ -15,6 +15,13 @@ and the stall message are those of scipy to the bit; the test suite
 checks this with scipy as the oracle.  The memory layout is not scipy's:
 the samples come back as one contiguous row per component.
 
+Every run ends by itself, which is where the stepper departs from scipy.
+Before each step attempt it stops on scipy's stall, a step below the float
+spacing near t, on a NaN step size (scipy loops on one: a zero atol with a
+zero component makes the error scale 0 and the first step 0/0), and past
+:data:`MAX_NFEV` evaluations.  A run that stops on neither of the last
+two gives scipy's bits.
+
 The dense output is not evaluated step by step.  A step whose interval
 holds samples records its start, length, state and polynomial
 coefficients, and the recorded samples are evaluated together once they
@@ -32,11 +39,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["RTOL", "Solution", "dop853"]
+__all__ = ["MAX_NFEV", "RTOL", "Solution", "dop853"]
 
 #: Relative tolerance of every ODE integration in the package; at 1e-12 the
 #: m = 2, n >= 8 profiles miss the 1e-7 H-residual target.
 RTOL = 1e-13
+
+#: Right-hand-side evaluations after which a run stops: near-axis curvature
+#: noise can keep the step controller refining without end.  At the ``cjl``
+#: defaults on the 107-spec sample of ``tests/test_accepted_range.py`` the
+#: most a run takes is 49,817 for the profile ((100,100)), 221,831 for psi
+#: ((100,99), 44 % of the budget) and 47,948 for the middle pair ((100,100)).
+MAX_NFEV = 500_000
 
 #: Samples per block of dense-output evaluation: large enough that numpy's
 #: per-call cost is spread over many samples, small enough that a block's
@@ -121,8 +135,8 @@ class Solution(NamedTuple):
     #: (n, len(t)), one row per component; C-contiguous when the run reached t_eval[-1]
     y: np.ndarray
     nfev: int
-    status: int  # 0: reached t_eval[-1]; -1: the step fell below the float spacing near t
-    message: str | None  # TOO_SMALL_STEP when status is -1
+    status: int  # 0: reached t_eval[-1]; -1: stopped before it
+    message: str | None  # why a status -1 run stopped: TOO_SMALL_STEP, NaN step or MAX_NFEV
 
 
 def _norm(x: np.ndarray) -> float:
@@ -168,12 +182,15 @@ def _dense_block(t_eval: np.ndarray, steps: list, counts: list, out: np.ndarray,
     return end
 
 
+@np.errstate(all="ignore")  # overflow and NaN end the run, or show in its samples
 def dop853(fun: Callable, y0, atol: float, t_eval: np.ndarray) -> Solution:
     """Integrate y' = fun(t, y) from y(t_eval[0]) = y0 up to t_eval[-1] at
     rtol :data:`RTOL` and scalar ``atol``, sampling y at the increasing
     points ``t_eval``.  A step whose interval holds samples computes its
     dense output's coefficients, which costs 3 more evaluations, and the
-    samples are evaluated from them a block at a time (module docstring).
+    samples are evaluated from them a block at a time, and a run that
+    cannot finish stops with status -1 (module docstring).  ``fun`` runs
+    with numpy's floating-point warnings off.
     """
     t, t1, y = float(t_eval[0]), float(t_eval[-1]), np.asarray(y0, dtype=float)
     f = np.asarray(fun(t, y), dtype=float)
@@ -203,9 +220,11 @@ def dop853(fun: Callable, y0, atol: float, t_eval: np.ndarray) -> Solution:
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step or nfev > MAX_NFEV:
                 done = _dense_block(t_eval, steps, counts, out, done)
-                return Solution(t_eval[:done], out[:, :done], nfev, -1, TOO_SMALL_STEP)
+                message = (f"over {MAX_NFEV} right-hand-side evaluations" if nfev > MAX_NFEV
+                           else TOO_SMALL_STEP if h_abs < min_step else "non-finite step size")
+                return Solution(t_eval[:done], out[:, :done], nfev, -1, message)
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = abs(h)

@@ -38,8 +38,6 @@ stencil of the profile's H-residual.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,7 +51,7 @@ from cjlab.profile import (
     ShootingConfig,
     _fd_derivative_log,
     _integrate,
-    _rhs_at,
+    _rhs,
     _series_start,
     geometry_trace,
 )
@@ -75,12 +73,6 @@ __all__ = [
 
 #: |V - V(+inf)| threshold that places the right breakpoint t1.
 V_SETTLE_TOL = 1e-2
-
-#: RHS evaluations after which the psi solve gives up: near-axis curvature
-#: noise can keep DOP853 refining without end.  At ``cjl jacobi`` defaults a
-#: run with m, n <= 10 takes at most 17,240 ((10,9), 1/29 of the budget),
-#: but (64,64) takes 120,260, (100,100) 173,939 and (100,99) 221,831 (44 %).
-MAX_PSI_NFEV = 500_000
 
 
 @dataclass(frozen=True)
@@ -292,40 +284,24 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
     the axis), are one DOP853 run in s on ``cfg.grid()`` with rtol
     :data:`cjlab.dop853.RTOL` and atol = 1e-14 epsilon^2 (psi grows like
     s^2 from the axis).  Its (a, b, theta) samples are the returned
-    ``curve``, whose :func:`geometry_trace` is ``trace``; a sample outside
-    the open quadrant, a stall (at once below epsilon ~ 1e-142), a
-    non-finite state handed to the right-hand side or more than
-    :data:`MAX_PSI_NFEV` evaluations raise :class:`IntegrationFailure`.
+    ``curve``, whose :func:`geometry_trace` is ``trace``.  A sample outside
+    the open quadrant, or a run that the stepper stops, raises
+    :class:`IntegrationFailure`: a stall (at once below epsilon ~ 1e-142),
+    a NaN step size (at once where atol underflows to 0, below epsilon ~
+    1.6e-155) or over :data:`cjlab.dop853.MAX_NFEV` evaluations.
     The residual psi'' + alpha psi' + beta psi - f takes psi'' from the
     five-point derivative in t = log s of the state's psi' samples, and
     is reported as a sup over s >= 2 epsilon; ``dpsi_defect`` is
     sup |dpsi/ds - psi'| / sup |psi'| over the same samples, with dpsi/ds
     from the same stencil on psi, and reads 0 for psi = 0.  Of the pairs
-    it builds the middle one only.  A p or ftilde past the float range or
-    a grid too coarse for a diagnostic raises :class:`DiagnosticError`
-    naming the stage.
+    it builds the middle one only, on the samples its run reaches.  A p or
+    ftilde past the float range or a grid too coarse for a diagnostic
+    raises :class:`DiagnosticError` naming the stage.
     """
     spec = cfg.spec
-    calls = itertools.count(1)
-    last_s = cfg.epsilon  # largest s at which rhs saw a finite state
-
-    def rhs(ss, y):
-        nonlocal last_s
-        state = y.tolist()
-        if not all(map(math.isfinite, state)):  # NaN would otherwise run out the budget
-            raise IntegrationFailure("psi solve: non-finite state", last_s=last_s)
-        last_s = max(last_s, ss)
-        if next(calls) > MAX_PSI_NFEV:
-            raise IntegrationFailure(f"psi solve: over {MAX_PSI_NFEV} right-hand-side evaluations",
-                                     last_s=last_s)
-        try:
-            return _rhs_at(spec, f, ss, *state)
-        except ArithmeticError:  # as in profile._rhs: numpy scalars give inf where floats raise
-            return _rhs_at(spec, f, ss, *y)
-
     atol = 1e-14 * cfg.epsilon**2
-    curve, y = _integrate(cfg, rhs, _series_start(spec, cfg.epsilon) + [0.0, 0.0], atol,
-                          "psi solve")
+    curve, y = _integrate(cfg, lambda ss, y: _rhs(ss, y, spec, f),
+                          _series_start(spec, cfg.epsilon) + [0.0, 0.0], atol, "psi solve")
     s, t = curve.s, curve.t
     trace = geometry_trace(curve)
     f_grid = trace.trA3 if f is None else np.asarray(f(s, curve.a, curve.b, curve.phi), dtype=float)
@@ -342,8 +318,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
         v = V(tt)
         return [du, dw, -v * u, -v * w]
 
-    with np.errstate(all="ignore"):  # a NaN drift shows it
-        vp, vm, dvp, dvm = dop853(pair_rhs, [1.0, 0.0, 0.0, 1.0], atol, t_mid).y
+    pair = dop853(pair_rhs, [1.0, 0.0, 0.0, 1.0], atol, t_mid)
     resid = _fd_residual(curve, trace, f_grid, psi, dpsi)
     lo = 2.0 * s[0]  # past the zero-data start
     slip = residual_sup(s, _fd_derivative_log(t, psi) / s - dpsi, lo, s[-1])
@@ -355,7 +330,7 @@ def solve_jacobi(cfg: ShootingConfig, f: Callable | None = None) -> JacobiSoluti
         residual=residual_sup(s, resid, lo, s[-1]),
         dpsi_defect=slip / dpsi_sup if dpsi_sup else 0.0,
         ef=ef,
-        middle_pair=FundamentalPair(t=t_mid, u_plus=vp, u_minus=vm, du_plus=dvp, du_minus=dvm),
+        middle_pair=FundamentalPair(pair.t, *pair.y),  # rows u_+, u_-, u_+', u_-'
         f=f_grid,
         curve=curve,
         trace=trace,

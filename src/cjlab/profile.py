@@ -28,7 +28,7 @@ integration started from the regularised limit phi'(0+) = -(m-1)/n.
 The curve leaving (0, 1) instead is the (n, m) curve mirrored by
 (a, b, phi) -> (b, a, pi/2 - phi).  :func:`integrate_profile` runs this
 system at rtol :data:`cjlab.dop853.RTOL` and atol RTOL / 100;
-``solve_jacobi`` runs its right-hand side with (psi, psi') appended.
+``solve_jacobi`` runs the same right-hand side with (psi, psi') appended.
 """
 
 from __future__ import annotations
@@ -93,6 +93,9 @@ class ShootingConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.s_max <= self.epsilon:
             raise ValueError("s_max must exceed epsilon")
+        if self.s_max / self.epsilon == math.inf:
+            raise ValueError(f"s_max / epsilon = {self.s_max:g} / {self.epsilon:g} leaves the "
+                             "float range")
         steps = math.log(self.s_max / self.epsilon) / self.grid_step  # see grid()
         if steps > MAX_GRID_SAMPLES - 1:
             raise ValueError(f"grid of {steps + 1:.3g} samples exceeds "
@@ -149,16 +152,18 @@ def _series_start(spec: ConeSpec, eps: float) -> list[float]:
     return [1.0 + (m - 1) * eps**2 / (2 * n), eps, (m - 1) * eps / n]
 
 
-def _rhs(s: float, y: np.ndarray, spec: ConeSpec):
-    """Derivative of (a, b, theta)."""
+def _rhs(s: float, y: np.ndarray, spec: ConeSpec, f: Callable | None = None) -> list:
+    """Derivative of the state (a, b, theta), and of (psi, psi') when y
+    carries them: the Jacobi solve's, with forcing ``f(s, a, b, phi)``
+    (default tr(A^3))."""
     try:
-        return _rhs_at(spec, None, s, *y.tolist())
-    except ArithmeticError:  # a float raises on x / 0 or x**2 past the range; numpy gives inf
-        return _rhs_at(spec, None, s, *y)
+        return _derivative(spec, f, s, math, *y.tolist())
+    except (ArithmeticError, ValueError):  # floats raise on x / 0, x**2 past the range and
+        return _derivative(spec, f, s, np, *y)  # sin(inf); numpy scalars give inf or nan
 
 
-def _rhs_at(spec: ConeSpec, f, s, a, b, theta, psi=None, dpsi=None) -> list:
-    ap, bp = math.sin(theta), math.cos(theta)
+def _derivative(spec: ConeSpec, f, s, lib, a, b, theta, psi=None, dpsi=None) -> list:
+    ap, bp = lib.sin(theta), lib.cos(theta)
     dphi, alpha, A2, trA3 = curvature_terms(spec, a, b, ap, bp)
     if psi is None:
         return [ap, bp, -dphi]
@@ -166,38 +171,31 @@ def _rhs_at(spec: ConeSpec, f, s, a, b, theta, psi=None, dpsi=None) -> list:
     return [ap, bp, -dphi, dpsi, force - alpha * dpsi - A2 * psi]
 
 
-def _sampled_curve(spec: ConeSpec, s: np.ndarray, y: np.ndarray,
-                   accepted_steps: int = 0) -> ProfileCurve:
-    """The curve of integrator samples y = (a, b, theta, ...) at s; raises
-    :class:`IntegrationFailure` if a sample leaves the open quadrant."""
-    a, b, theta = y[:3]
-    outside = np.nonzero(~((a > 0.0) & (b > 0.0)))[0]
-    if len(outside):  # the IVP does not stop at an axis: a curve that crosses one shows here
-        raise IntegrationFailure(f"profile samples for (m,n)=({spec.m},{spec.n}) leave the "
-                                 "open quadrant", last_s=float(s[max(outside[0] - 1, 0)]))
-    return ProfileCurve(spec=spec, s=s, a=a, b=b, theta=theta, accepted_steps=accepted_steps)
-
-
 def _integrate(cfg: ShootingConfig, fun: Callable, y0: list, atol: float, stage: str) -> tuple:
     """One DOP853 run of ``fun`` from ``y0`` over ``cfg.grid()``: the curve of
-    its (a, b, theta) samples, and all samples.  A stall (named ``stage``) or a
-    sample outside the open quadrant raises :class:`IntegrationFailure` with
-    the last valid s."""
+    its (a, b, theta) samples, and all samples.  A run that stops early (the
+    stepper's message says why), or a NaN sample or one outside the open
+    quadrant, raises :class:`IntegrationFailure` naming ``stage`` and the
+    last sample before."""
     spec, s = cfg.spec, cfg.grid()
-    with np.errstate(all="ignore"):  # overflow ends the run or shows in Hres
-        sol = dop853(fun, y0, atol, s)
-    if sol.status != 0:  # a curve that crossed an axis before the stall says so first
-        _sampled_curve(spec, sol.t, sol.y)
-        last_s = float(sol.t[-1]) if len(sol.t) else cfg.epsilon
+    sol = dop853(fun, y0, atol, s)
+    a, b, theta = sol.y[:3]
+    # the IVP does not stop at an axis: a curve that crosses one shows here, before a later stop
+    outside = np.flatnonzero(~((a > 0.0) & (b > 0.0)))
+    if len(outside) or sol.status:
+        i = outside[0] if len(outside) else len(sol.t)
+        last_s = float(sol.t[i - 1]) if i else cfg.epsilon
+        reason = (sol.message if i == len(sol.t) else "samples leave the open quadrant"
+                  if a[i] <= 0.0 or b[i] <= 0.0 else "non-finite state")  # NaN
         raise IntegrationFailure(f"{stage} for (m,n)=({spec.m},{spec.n}) stopped at "
-                                 f"s={last_s:.6g}: {sol.message}", last_s=last_s)
-    return _sampled_curve(spec, s, sol.y, accepted_steps=sol.nfev), sol.y
+                                 f"s={last_s:.6g}: {reason}", last_s=last_s)
+    return ProfileCurve(spec=spec, s=s, a=a, b=b, theta=theta, accepted_steps=sol.nfev), sol.y
 
 
 def integrate_profile(cfg: ShootingConfig) -> ProfileCurve:
     """Integrate the profile system from the axis series start on
-    :meth:`ShootingConfig.grid`; a stall or a sample outside the open
-    quadrant raises :class:`IntegrationFailure` with the last valid s."""
+    :meth:`ShootingConfig.grid`; a run that stops early or a sample outside
+    the open quadrant raises :class:`IntegrationFailure` with the last valid s."""
     spec = cfg.spec
     return _integrate(cfg, lambda s, y: _rhs(s, y, spec), _series_start(spec, cfg.epsilon),
                       RTOL * 1e-2, "profile integration")[0]

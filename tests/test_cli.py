@@ -256,7 +256,7 @@ class TestSpectrumCommand:
         proc = subprocess.run(
             [sys.executable, "-m", "cjlab.cli", "spectrum", "--m", "4", "--n", "4",
              "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=checkout_env(),
         )
         assert proc.returncode == 0
 
@@ -347,6 +347,7 @@ class TestBadInputsExit2:
         ["plateau", "--N", "3", "--R", "5e-320"],
         ["plateau", "--N", "12", "--R", "1e30"],  # R^(N-1) overflows
         ["plateau", "--N", "3", "--r-max", "1e162"],  # 13 samples in the fit window
+        ["profile", "--m", "3", "--n", "2", "--eps", "1e-310"],  # s_max / eps overflows
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     def test_one_line_error(self, argv, tmp_path, capsys):
@@ -578,14 +579,18 @@ def test_benchmark_sites_resolve():
     assert missing == []
 
 
+def checkout_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(ROOT / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_fresh(script: str, *args: str) -> dict:
     """Run ``script`` in a fresh interpreter on this checkout's ``src``; the
     JSON object that its last stdout line prints."""
-    src = str(ROOT / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", script, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=checkout_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -892,12 +897,12 @@ class TestJacobiCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_eps_jacobi_exits_4_with_one_line(self, tmp_path, capsys):
-        """psi's atol 1e-14 eps^2 underflows to 0, so its first trial step is
-        NaN; the psi solve stops at the first non-finite state instead of
-        spending its budget on NaN."""
+        """psi's atol 1e-14 eps^2 underflows to 0, so its first step size is
+        NaN; the stepper stops there instead of looping on NaN."""
         assert main(["jacobi", *self.TINY_EPS, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()
-        assert err == ["integration failure: psi solve: non-finite state (last s = 1e-160)"]
+        assert err == ["integration failure: psi solve for (m,n)=(2,2) stopped at s=1e-160: "
+                       "non-finite step size (last s = 1e-160)"]
 
     def test_profile_h_residual_target(self, tmp_path, capsys):
         """The profile.csv a jacobi run writes meets the H-residual target of

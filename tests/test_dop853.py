@@ -1,7 +1,9 @@
 """The numpy DOP853 stepper against scipy's, which serves as the oracle here
 only: same tableau, and bit-identical samples, evaluation counts, status
 and stall message on the package's own right-hand sides.  The samples come
-back as rows: a completed run's y is C-contiguous, whatever scipy's layout."""
+back as rows: a completed run's y is C-contiguous, whatever scipy's layout.
+The two stops scipy lacks, a NaN step size and the evaluation budget, are
+tested without it."""
 
 import numpy as np
 import pytest
@@ -97,3 +99,22 @@ def test_run_over_several_blocks_matches_solve_ivp():
     t_eval = np.linspace(0.0, 30.0, 40_001)
     got, _ = assert_same_run(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], 1e-12, t_eval)
     assert got.status == 0 and len(got.t) == len(t_eval)
+
+
+def test_nan_step_ends_the_run():
+    """With atol 0, a zero component makes the error scale 0 and the first
+    step size 0/0; the run stops before its first step, where solve_ivp
+    loops without end."""
+    got = stepper.dop853(lambda t, y: [1.0, 0.0], [0.0, 0.0], 0.0, np.linspace(0.0, 1.0, 11))
+    assert (got.status, got.message, got.nfev, len(got.t)) == (-1, "non-finite step size", 2, 0)
+
+
+def test_evaluation_budget_ends_the_run(monkeypatch):
+    """A run stops before the first step attempt past MAX_NFEV evaluations,
+    with the samples of the steps it took."""
+    monkeypatch.setattr(stepper, "MAX_NFEV", 100)
+    t_eval = np.linspace(0.0, 30.0, 301)
+    got = stepper.dop853(lambda t, y: np.array([y[1], -y[0]]), [1.0, 0.0], 1e-12, t_eval)
+    assert (got.status, got.message) == (-1, "over 100 right-hand-side evaluations")
+    assert 100 < got.nfev <= 115 and 0 < len(got.t) < len(t_eval)
+    assert got.y.shape == (2, len(got.t))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cjlab import DiagnosticError, IntegrationFailure, decay, jacobi, profile
+from cjlab import dop853 as stepper
 from cjlab.cli import RESIDUAL_TARGET_FACTOR
 from cjlab.jacobi import (
     decay_diagnostics,
@@ -193,9 +194,29 @@ class TestSolveJacobi:
             assert np.array_equal(sol.f, trace.trA3)
 
     def test_evaluation_budget_ends_the_solve(self, short_configs, monkeypatch):
-        monkeypatch.setattr(jacobi, "MAX_PSI_NFEV", 100)
-        with pytest.raises(IntegrationFailure, match="psi solve"):
+        monkeypatch.setattr(stepper, "MAX_NFEV", 100)
+        with pytest.raises(IntegrationFailure, match=r"^psi solve for \(m,n\)=\(2,2\) stopped "
+                           r"at s=\S+: over 100 right-hand-side evaluations$"):
             solve_jacobi(short_configs[(2, 2)])
+
+    def test_stopped_middle_pair_keeps_its_samples_aligned(self, monkeypatch):
+        """A middle-pair run that the budget stops early gives the pair the
+        grid points it reached, one per sample of u_+ and u_-."""
+        run = jacobi.dop853
+
+        def short_pair(fun, y0, atol, t_eval):
+            if len(y0) == 4:  # the pair's (u_+, u_-, u_+', u_-')
+                monkeypatch.setattr(stepper, "MAX_NFEV", 200)
+            return run(fun, y0, atol, t_eval)
+
+        monkeypatch.setattr(jacobi, "dop853", short_pair)
+        sol = solve_jacobi(ShootingConfig(spec=ConeSpec(2, 2), s_max=200.0, grid_step=1e-2))
+        pair, i0, i1 = sol.middle_pair, sol.ef.i0, sol.ef.i1
+        assert 0 < len(pair.t) < i1 + 1 - i0
+        assert np.array_equal(pair.t, sol.curve.t[i0 : i0 + len(pair.t)])
+        for u in (pair.u_plus, pair.u_minus, pair.du_plus, pair.du_minus):
+            assert u.shape == pair.t.shape
+        assert math.isfinite(pair.wronskian_drift)
 
     def test_profile_integrated_with_psi_matches_curve(self, jacobi_configs, jacobi_solutions):
         """The curve the IVP carries along with psi retraces the profile that
@@ -356,7 +377,7 @@ def test_residual_target_on_the_envelope(m, n):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_m_is_n_plus_1_below_the_default_eps(n):
     """With tr A^3 free of near-axis cancellation, each m = n + 1 spec meets
-    its residual target at eps = 1e-5 far inside MAX_PSI_NFEV."""
+    its residual target at eps = 1e-5 far inside dop853.MAX_NFEV."""
     cfg = ShootingConfig(spec=ConeSpec(n + 1, n), epsilon=1e-5, s_max=300.0, grid_step=1e-3)
     sol = solve_jacobi(cfg)
     assert sol.residual <= RESIDUAL_TARGET_FACTOR * (1.0 + np.max(np.abs(sol.f)))

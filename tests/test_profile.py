@@ -93,7 +93,7 @@ class TestShootingConfig:
                            grid_step=span / (MAX_GRID_SAMPLES - 0.5))
         with pytest.raises(ValueError, match="MAX_GRID_SAMPLES"):  # ~7e9 samples
             ShootingConfig(spec=ConeSpec(2, 2), s_max=1.1, grid_step=1e-9)
-        with pytest.raises(ValueError, match="MAX_GRID_SAMPLES"):  # s_max/eps overflows
+        with pytest.raises(ValueError, match="leaves the float range"):  # s_max/eps overflows
             ShootingConfig(spec=ConeSpec(2, 2), s_max=1e308, grid_step=1.0)
 
 
@@ -183,6 +183,34 @@ class TestIntegrateProfile:
         with pytest.raises(IntegrationFailure, match="open quadrant") as err:
             integrate_profile(ShootingConfig(spec=ConeSpec(2, 2), s_max=50.0, grid_step=1e-3))
         assert 1.0 < err.value.last_s < math.pi / 3 + 0.01
+
+    def test_nan_sample_is_reported_as_non_finite(self, monkeypatch):
+        """A NaN sample of a finished run ends it as non-finite, with the
+        sample before it, not as a curve outside the quadrant."""
+        import cjlab.profile as P
+
+        run = P.dop853
+
+        def nan_at_100(*args):
+            sol = run(*args)
+            sol.y[1, 100] = math.nan
+            return sol
+
+        monkeypatch.setattr(P, "dop853", nan_at_100)
+        cfg = ShootingConfig(spec=ConeSpec(2, 2), s_max=50.0, grid_step=1e-3)
+        with pytest.raises(IntegrationFailure, match="non-finite state$") as err:
+            integrate_profile(cfg)
+        assert err.value.last_s == cfg.grid()[99]
+
+    def test_evaluation_budget_ends_the_run(self, monkeypatch):
+        """The stepper's budget ends the profile run, which the failure names."""
+        from cjlab import dop853 as stepper
+
+        monkeypatch.setattr(stepper, "MAX_NFEV", 100)
+        with pytest.raises(IntegrationFailure, match=r"^profile integration for \(m,n\)=\(2,2\) "
+                           r"stopped at s=\S+: over 100 right-hand-side evaluations$") as err:
+            integrate_profile(ShootingConfig(spec=ConeSpec(2, 2), s_max=50.0, grid_step=1e-3))
+        assert 1e-3 <= err.value.last_s < 50.0
 
 
 class TestConeRay:
@@ -289,6 +317,16 @@ class TestCurvatureTerms:
         with np.errstate(all="ignore"):
             want = curvature_terms(spec, np.float64(1.0), np.float64(b), ap, bp)[0]
             assert _rhs(0.0, np.array([1.0, b, 1.0]), spec) == [ap, bp, -want]
+
+    @pytest.mark.parametrize("psi", [(), (1.0, 2.0)])
+    def test_rhs_is_nan_at_an_infinite_theta(self, psi):
+        """sin(inf) raises on a float; the right-hand side gives numpy's NaN
+        instead, for the profile state and for the Jacobi solve's."""
+        with np.errstate(all="ignore"):
+            got = _rhs(0.0, np.array([1.0, 1.0, math.inf, *psi]), ConeSpec(3, 3))
+        assert len(got) == 3 + len(psi)
+        assert all(math.isnan(v) for i, v in enumerate(got) if i != 3)
+        assert got[3:4] == list(psi[1:])  # psi' passes through
 
     @pytest.mark.parametrize("n", [2, 3, 4, 9, 50])
     def test_m_is_n_plus_1_closed_form(self, n):
