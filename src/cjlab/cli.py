@@ -29,8 +29,8 @@ name set on the module before that (a tracing wrapper, say) is kept.
 A run directory receives the data files plus ``manifest.json`` (config
 echo, tool version, wall time, sha256 checksums, summary metrics),
 written last.  Data files are deterministic: two runs with identical
-configuration are byte-identical.  ``cjl jacobi`` writes profile.csv on a
-second thread while it writes jacobi.csv.  The default output directory is
+configuration are byte-identical.  ``cjl jacobi`` writes profile.csv,
+then jacobi.csv.  The default output directory is
 ``$CJL_OUT`` or ``./cjl_out``.  Exit codes: 0 success, 2 usage/config
 error, 3 I/O error, 4 numerical target miss.
 """
@@ -338,54 +338,21 @@ def _cmd_profile(cfg: RunConfig, out: Path) -> Outcome:
                    f"profile ({spec.m},{spec.n}): Hres_sup={hres_sup:.3e} -> {path}", miss)
 
 
-def _start_thread(fn: Callable, *args) -> Callable[[], object]:
-    """Start ``fn(*args)`` on a new thread; the returned callable joins it
-    and returns ``fn``'s result or raises its exception."""
-    import threading  # loaded by numpy already
-
-    outcome = []
-
-    def run():
-        try:
-            outcome.append((fn(*args), None))
-        except BaseException as exc:  # re-raised by join
-            outcome.append((None, exc))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-
-    def join():
-        thread.join()
-        result, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return result
-
-    return join
-
-
 def _cmd_jacobi(cfg: RunConfig, out: Path) -> Outcome:
     spec = cfg.shooting.spec
     sol = solve_jacobi(cfg.shooting)
     report = decay_diagnostics(sol)
     origin = near_origin_behavior(sol)
     hres_sup, hres_miss = _hres_gate(sol.trace)  # its |Hres| temporary is gone before the writes
-    # profile.csv is written on a second thread while this one writes
-    # jacobi.csv; the rendering's numpy passes, the hashing and the writes
-    # release the GIL.  If both fail, profile.csv's error is the one raised.
-    profile_csv = _start_thread(_profile_csv, out, sol.curve, sol.trace)
-    try:
-        jac_path = out / "jacobi.csv"
-        sl = _stride(len(sol.curve.s))
-        jac_digest = write_csv(
-            jac_path,
-            ["s", "t", "p", "V", "ftilde", "psi", "dpsi", "residual"],
-            [c[sl] for c in (sol.curve.s, sol.curve.t, sol.ef.p, sol.ef.V, sol.ef.f_tilde,
-                             sol.psi, sol.dpsi, sol.residual_pointwise)],
-        )
-    finally:
-        csv_path, digest = profile_csv()
-    files = {csv_path: digest, jac_path: jac_digest}
+    csv_path, digest = _profile_csv(out, sol.curve, sol.trace)
+    jac_path = out / "jacobi.csv"
+    sl = _stride(len(sol.curve.s))
+    files = {csv_path: digest, jac_path: write_csv(
+        jac_path,
+        ["s", "t", "p", "V", "ftilde", "psi", "dpsi", "residual"],
+        [c[sl] for c in (sol.curve.s, sol.curve.t, sol.ef.p, sol.ef.V, sol.ef.f_tilde,
+                         sol.psi, sol.dpsi, sol.residual_pointwise)],
+    )}
 
     report["near_origin"] = {
         "exponent": origin.exponent,
@@ -524,13 +491,18 @@ OPTIONS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cjl parser.  Every subcommand is a choice, so ``cjl --help`` and an
+    unknown or missing command read the same, but only ``command``'s
+    subparser gets its options: the others would never parse anything."""
     ap = argparse.ArgumentParser(prog="cjl", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"cjl {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        sp = sub.add_parser(command)
+    for name in _COMMANDS:
+        sp = sub.add_parser(name)
+        if name != command:
+            continue
         sp.add_argument("--config", help="key = value config file; flags override it")
         for opt in OPTIONS:
             if command in opt.defaults:
@@ -544,9 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
 def configure(argv: list[str] | None = None) -> RunConfig:
     """Parse ``argv`` and its config file, then :func:`check_inputs`.
 
-    argparse exits 2 on a flag the subcommand does not take.
+    argparse exits 2 on a flag the subcommand does not take.  The top-level
+    parser takes no option with a value, so the first argument that is not
+    a flag names the command.
     """
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     raw = _parse_config_file(Path(args.config)) if args.config else {}
     raw.update((o.name, getattr(args, o.name)) for o in OPTIONS
                if getattr(args, o.name, None) is not None)
@@ -582,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"diagnostic failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except IntegrationFailure as exc:
-        print(f"integration failure: {exc} (last s = {exc.last_s:.6g})", file=sys.stderr)
+        print(f"integration failure: {exc}", file=sys.stderr)  # the message names the last s
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)

@@ -60,7 +60,7 @@ __all__ = [
 
 #: Largest sample grid a :class:`ShootingConfig` accepts: about 69x the
 #: default Jacobi grid of 14,559 samples.  A ``cjl jacobi --m 3 --n 3``
-#: process peaks at about 224 MB RSS on a 997,000-sample grid, and 43 MB
+#: process peaks at about 224 MB RSS on a 997,087-sample grid, and 39 MB
 #: on the default one.
 MAX_GRID_SAMPLES = 1_000_000
 #: The profile's stiffness, and with it the integrator's step count, grows

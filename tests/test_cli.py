@@ -176,6 +176,22 @@ class TestWriteCsv:
             tracemalloc.stop()
         assert peak <= 11.27e6
 
+    def test_peak_memory_is_one_block(self, tmp_path):
+        """tracemalloc peak of a 14,559 x 9 float64 write, the profile.csv of
+        a default ``cjl jacobi``: about 120 B per cell of one block of
+        ``io._BLOCK_ROWS`` = 1,000 rows, so the bound is 1,000 x 9 cells at
+        140 B, below the 2.16 MB that 2,000-row blocks take."""
+        rng = np.random.default_rng(1)
+        columns = list(rng.standard_normal((9, 14559)) * 10.0 ** rng.integers(-12, 4, (9, 14559)))
+        write_csv(tmp_path / "warm.csv", ["c"], columns[:1])  # g10's tables are built once
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "x.csv", [f"c{i}" for i in range(9)], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1000 * 9 * 140
+
     @given(st.lists(st.floats(), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_float_lists_match_float_arrays(self, xs):
@@ -395,6 +411,16 @@ class TestOptionTable:
         listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
         assert {o.name for o in OPTIONS if command in o.defaults} == READS[command]
         assert listed == {"--" + k.replace("_", "-") for k in READS[command]} | {"--config", "--help"}
+
+    @pytest.mark.parametrize("argv,code", [([], 2), (["bogus"], 2), (["--help"], 0)])
+    def test_every_command_is_a_choice(self, argv, code, capsys):
+        """Only the invoked command's options are built, but a missing or
+        unknown command, and ``cjl --help``, still list every command."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        assert "{spectrum,profile,jacobi,plateau,report}" in captured.out + captured.err
 
     def test_one_default_grid_step(self):
         """profile, jacobi and report integrate on the library's default grid."""
@@ -771,7 +797,7 @@ class TestIOFailures:
         (["profile.csv", "jacobi.csv"], "profile.csv"),  # both fail: profile.csv's error
     ])
     def test_jacobi_csv_write_failure_exits_3(self, blocked, reported, tmp_path, capsys):
-        """cjl jacobi writes its two CSVs on two threads: a failed write still
+        """cjl jacobi writes profile.csv, then jacobi.csv: a failed write
         exits 3 with one line, and no thread outlives the run."""
         out = tmp_path / "o"
         for name in blocked:
@@ -784,6 +810,14 @@ class TestIOFailures:
         assert code == 3
         assert len(err) == 1 and err[0].startswith("I/O error:") and reported in err[0]
         assert not (out / "manifest.json").exists()
+
+    def test_jacobi_starts_no_thread(self, tmp_path, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["jacobi", "--m", "3", "--n", "3", "--s-max", "300",
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 M2N2 = ["--m", "2", "--n", "2"]
@@ -902,7 +936,7 @@ class TestJacobiCommand:
         assert main(["jacobi", *self.TINY_EPS, "--out", str(tmp_path / "o")]) == 4
         err = capsys.readouterr().err.splitlines()
         assert err == ["integration failure: psi solve for (m,n)=(2,2) stopped at s=1e-160: "
-                       "non-finite step size (last s = 1e-160)"]
+                       "non-finite step size"]
 
     def test_profile_h_residual_target(self, tmp_path, capsys):
         """The profile.csv a jacobi run writes meets the H-residual target of
